@@ -68,8 +68,7 @@ struct ObsConfig
     /// classification the critical-path report joins against
     bool txn = false;
     /// simulator self-telemetry (--telemetry, DESIGN.md §16):
-    /// per-subsystem memory accounting, host-time attribution, and
-    /// parallel-lane utilization. Does NOT force the serial engine.
+    /// per-subsystem memory accounting and host-time attribution
     bool telemetry = false;
 };
 

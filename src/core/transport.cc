@@ -59,8 +59,7 @@ ReliableTransport::oldestUnackedSince() const
     // that outlives the retry cap surfaces as a watchdog trip.
     Tick oldest = kTickMax;
     for (const Channel& c : _chans)
-        oldest = std::min(
-            oldest, c.headSentAt.load(std::memory_order_relaxed));
+        oldest = std::min(oldest, c.headSentAt);
     return oldest;
 }
 
@@ -117,7 +116,7 @@ ReliableTransport::reset()
 {
     for (Channel& c : _chans) {
         c.window.clear();
-        c.headSentAt.store(kTickMax, std::memory_order_relaxed);
+        c.headSentAt = kTickMax;
         c.nextSeq = 1;
         c.rto = 0;
         c.retries = 0;
@@ -141,7 +140,7 @@ ReliableTransport::onSend(Message& m, Tick when)
     const bool wasIdle = c.window.empty();
     c.window.push_back({m, when});
     if (wasIdle)
-        c.headSentAt.store(when, std::memory_order_relaxed);
+        c.headSentAt = when;
     if (wasIdle && !c.dead) {
         c.rto = _p.rto;
         c.retries = 0;
@@ -258,9 +257,8 @@ ReliableTransport::handleAck(NodeId src, NodeId dst,
     if (!advanced)
         return; // stale cumulative ack; nothing new
 
-    c.headSentAt.store(c.window.empty() ? kTickMax
-                                        : c.window.front().sentAt,
-                       std::memory_order_relaxed);
+    c.headSentAt =
+        c.window.empty() ? kTickMax : c.window.front().sentAt;
     c.retries = 0;
     c.rto = _p.rto;
     // A late ack can revive a link declared dead (e.g. a partition

@@ -35,10 +35,7 @@ DirMemSystem::DirMemSystem(Machine& m, Network& net, DirParams params)
           m.stats().counter("dir.writebacks_received"))
 {
     _nodes.reserve(_cp.nodes);
-    _openSince =
-        std::make_unique<std::atomic<Tick>[]>(_cp.nodes);
-    for (int i = 0; i < _cp.nodes; ++i)
-        _openSince[i].store(kTickMax, std::memory_order_relaxed);
+    _openSince.assign(_cp.nodes, kTickMax);
     for (int i = 0; i < _cp.nodes; ++i) {
         Node n;
         n.cache = std::make_unique<CacheModel>(
@@ -100,7 +97,7 @@ DirMemSystem::canonicalize(std::uint64_t epochSeed)
         // a crash rollback the awaiting coroutine frames are already
         // destroyed and the pointers dangle.
         n.pending.clear();
-        _openSince[i].store(kTickMax, std::memory_order_relaxed);
+        _openSince[i] = kTickMax;
     }
     _dir.clear();
     _faultInvalidates = 0;
@@ -242,13 +239,12 @@ DirMemSystem::oldestPendingSince() const
     // Watchdog probe: every remote miss parks a PendingMiss at the
     // requesting node until the grant arrives, so the oldest pending
     // issue time bounds how long any transaction has been open.
-    // Wait-free scan over the per-node relaxed-atomic snapshots (kept
-    // current by noteOpenSince at every pending-map mutation) instead
-    // of walking the maps themselves.
+    // O(nodes) scan over the per-node snapshots (kept current by
+    // noteOpenSince at every pending-map mutation) instead of walking
+    // the maps themselves.
     Tick oldest = kTickMax;
-    for (int i = 0; i < _cp.nodes; ++i)
-        oldest = std::min(
-            oldest, _openSince[i].load(std::memory_order_relaxed));
+    for (Tick t : _openSince)
+        oldest = std::min(oldest, t);
     return oldest;
 }
 

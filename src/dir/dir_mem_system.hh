@@ -22,7 +22,6 @@
 #define TT_DIR_DIR_MEM_SYSTEM_HH
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -244,10 +243,9 @@ class DirMemSystem : public MemorySystem
      * Per-node oldest-pending-miss snapshot for the watchdog probe:
      * min over n.pending of req->issueTime, kTickMax when none.
      * Maintained at the insert/erase sites so oldestPendingSince() is
-     * a wait-free relaxed-atomic scan that never walks the pending
-     * maps (safe under the parallel engine — DESIGN.md §12).
+     * a plain scan that never walks the pending maps.
      */
-    std::unique_ptr<std::atomic<Tick>[]> _openSince;
+    std::vector<Tick> _openSince;
 
     /** Recompute node @p id's _openSince cell (pending maps are tiny). */
     void
@@ -256,7 +254,7 @@ class DirMemSystem : public MemorySystem
         Tick t = kTickMax;
         for (const auto& [blk, miss] : _nodes[id].pending)
             t = std::min(t, miss.req->issueTime);
-        _openSince[id].store(t, std::memory_order_relaxed);
+        _openSince[id] = t;
     }
 
     // Occurrence counters for the Nth-occurrence mutation knobs

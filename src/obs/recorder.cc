@@ -212,23 +212,6 @@ FlightRecorder::finalize()
 }
 
 std::vector<TraceRecord>
-FlightRecorder::mergedRecords() const
-{
-    std::vector<TraceRecord> out;
-    for (int n = 0; n < nodes(); ++n) {
-        std::vector<TraceRecord> ring = ringOf(n);
-        out.insert(out.end(), ring.begin(), ring.end());
-    }
-    // Stable on tick alone: same-tick records keep node-ascending,
-    // then per-ring (= per-lane deterministic) order.
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceRecord& a, const TraceRecord& b) {
-                         return a.tick < b.tick;
-                     });
-    return out;
-}
-
-std::vector<TraceRecord>
 FlightRecorder::ringOf(NodeId n) const
 {
     const Ring& ring = _rings.at(static_cast<std::size_t>(n));

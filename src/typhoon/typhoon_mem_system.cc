@@ -84,10 +84,7 @@ TyphoonMemSystem::TyphoonMemSystem(Machine& m, Network& net,
       _cNpBulkTransfers(m.stats().counter("np.bulk_transfers"))
 {
     _nodes.resize(_cp.nodes);
-    _openSince =
-        std::make_unique<std::atomic<Tick>[]>(_cp.nodes);
-    for (int i = 0; i < _cp.nodes; ++i)
-        _openSince[i].store(kTickMax, std::memory_order_relaxed);
+    _openSince.assign(_cp.nodes, kTickMax);
     for (int i = 0; i < _cp.nodes; ++i) {
         Node& n = _nodes[i];
         n.cpuCache = std::make_unique<CacheModel>(
@@ -182,14 +179,12 @@ TyphoonMemSystem::oldestPendingSince() const
     // Handler activations and queued messages are excluded — they only
     // matter if they fail to eventually resume a suspended thread, and
     // that failure is exactly what the suspended/baf ages capture.
-    // Wait-free scan over the per-node relaxed-atomic snapshots (kept
-    // current by noteOpenSince at every suspend/resume/BAF mutation),
-    // so the probe never dereferences Node state that another engine
-    // lane could be mutating.
+    // O(nodes) scan over the per-node snapshots (kept current by
+    // noteOpenSince at every suspend/resume/BAF mutation), so the probe
+    // never chases the Node pointers.
     Tick oldest = kTickMax;
-    for (int i = 0; i < _cp.nodes; ++i)
-        oldest = std::min(
-            oldest, _openSince[i].load(std::memory_order_relaxed));
+    for (Tick t : _openSince)
+        oldest = std::min(oldest, t);
     return oldest;
 }
 

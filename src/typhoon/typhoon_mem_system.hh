@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -338,11 +337,10 @@ class TyphoonMemSystem : public MemorySystem
      * Per-node open-operation snapshot for the watchdog probe:
      * min(suspended->issueTime, baf->postedAt), kTickMax when idle.
      * Maintained O(1) at the suspend/resume/BAF mutation sites so
-     * oldestPendingSince() is a wait-free relaxed-atomic scan that
-     * never chases the Node pointers (safe under the parallel
-     * engine — DESIGN.md §12).
+     * oldestPendingSince() is a plain scan that never chases the Node
+     * pointers.
      */
-    std::unique_ptr<std::atomic<Tick>[]> _openSince;
+    std::vector<Tick> _openSince;
 
     /** Recompute node @p id's _openSince cell (after any mutation). */
     void
@@ -354,7 +352,7 @@ class TyphoonMemSystem : public MemorySystem
             t = std::min(t, n.suspended->issueTime);
         if (n.baf)
             t = std::min(t, n.baf->postedAt);
-        _openSince[id].store(t, std::memory_order_relaxed);
+        _openSince[id] = t;
     }
 
     // Hot-path stat handles, resolved once at construction (StatSet

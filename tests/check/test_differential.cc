@@ -18,6 +18,7 @@
 #include <string>
 
 #include "check/protocol_checker.hh"
+#include "config/builders.hh"
 #include "tests/helpers.hh"
 
 namespace tt
@@ -249,6 +250,23 @@ TEST(CheckDifferential, LegacyBooleanKnobs)
         EXPECT_FALSE(paranoid.empty());
         EXPECT_FALSE(fast.empty());
     }
+}
+
+/** The --check=MODE knob reaches the checker each builder constructs. */
+TEST(CheckCompose, ModeKnobReachesTheChecker)
+{
+    MachineConfig cfg;
+    cfg.core.nodes = 2;
+    cfg.check.enable = true;
+    cfg.check.mode = ProtocolChecker::Mode::Paranoid;
+    TargetMachine t = buildDirNNB(cfg);
+    ASSERT_NE(t.checker, nullptr);
+    EXPECT_EQ(t.checker->mode(), ProtocolChecker::Mode::Paranoid);
+
+    cfg.check.mode = ProtocolChecker::Mode::Fast;
+    TargetMachine t2 = buildTyphoonStache(cfg);
+    ASSERT_NE(t2.checker, nullptr);
+    EXPECT_EQ(t2.checker->mode(), ProtocolChecker::Mode::Fast);
 }
 
 } // namespace

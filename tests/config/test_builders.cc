@@ -135,5 +135,22 @@ TEST(Builders, SeedChangesNothingObservableButIsHonored)
     EXPECT_EQ(checksumAt(1), checksumAt(999));
 }
 
+TEST(Builders, WatchdogTripsOnCutLink)
+{
+    // A permanently cut link with the reliable transport on: the
+    // transport eventually declares the link dead, the victim's miss
+    // stays open forever, and the watchdog must trip, probing the
+    // memory system and transport through their open-since snapshots.
+    MachineConfig cfg;
+    cfg.core.nodes = 8;
+    cfg.faults.cuts.push_back({0, 1});
+    cfg.watchdog.horizon = 20'000;
+
+    TargetMachine t = buildTyphoonStache(cfg);
+    auto app = makeWorkload("em3d", DataSet::Tiny, 1);
+    EXPECT_THROW(t.run(*app), WatchdogTimeout);
+    EXPECT_EQ(t.m().stats().get("obs.watchdog.trips"), 1u);
+}
+
 } // namespace
 } // namespace tt

@@ -143,7 +143,7 @@ TEST(DirNNBFuzz, ConcurrentOwnerComputePhases)
 
     const int phases = 6;
     DirRig* r = &rig;
-    std::atomic<int> failures{0};
+    int failures = 0;
     rig.run([&, r](Cpu& cpu) -> Task<void> {
         Rng rng(1000 + cpu.id());
         for (int ph = 0; ph < phases; ++ph) {
@@ -172,7 +172,7 @@ TEST(DirNNBFuzz, ConcurrentOwnerComputePhases)
             co_await r->machine->barrier().wait(cpu);
         }
     });
-    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(failures, 0);
     EXPECT_TRUE(rig.mem->quiescent());
 }
 

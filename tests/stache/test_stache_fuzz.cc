@@ -122,7 +122,7 @@ TEST(StacheFuzz, ConcurrentOwnerComputePhases)
 
     std::vector<std::vector<std::uint32_t>> expected(
         nodes, std::vector<std::uint32_t>(wordsPerNode, 0));
-    std::atomic<int> failures{0};
+    int failures = 0;
     StacheRig* r = &rig;
     rig.run([&, r](Cpu& cpu) -> Task<void> {
         Rng rng(2000 + cpu.id());
@@ -150,7 +150,7 @@ TEST(StacheFuzz, ConcurrentOwnerComputePhases)
             co_await r->machine->barrier().wait(cpu);
         }
     });
-    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(failures, 0);
     EXPECT_TRUE(rig.stache->quiescent());
     EXPECT_EQ(rig.stache->auditCoherence(), 0u);
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * A minimal recursive-descent JSON parser shared by the standalone
- * validation tools (stats_lint, bench_diff): just enough to read the
- * simulator's own JSON output without external dependencies.
+ * validation tools (trace_lint, stats_lint, bench_diff): just enough
+ * to read the simulator's own JSON output without external
+ * dependencies.
  * Numbers are doubles; `null` is a first-class kind because the
  * stats exporter emits it for non-finite values.
  */

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include <fstream>
@@ -47,7 +48,6 @@ struct Options
     int scale = 1;
     int netLatency = 11;
     int quantum = 32;
-    int threads = 1; ///< parallel-engine workers (1 = serial engine)
     double remotePct = 20;
     std::uint64_t seed = 0;
     std::string benchJson; ///< write a wall-clock JSON report here
@@ -106,10 +106,6 @@ usage()
         "  --scale=N         divide problem size by N (default 1)\n"
         "  --net-latency=N   network latency cycles (default 11)\n"
         "  --quantum=N       local-time window (default 32)\n"
-        "  --threads=N       parallel-engine workers (default 1 ="
-        " serial\n"
-        "                    cross-check engine; results byte-identical"
-        " for any N)\n"
         "  --remote=PCT      EM3D remote-edge percent (default 20)\n"
         "  --seed=N          machine RNG seed\n"
         "  --bench-json=F    write a wall-clock benchmark report"
@@ -133,12 +129,11 @@ usage()
         " --faults\n"
         "  --telemetry[=F]   simulator self-telemetry: per-subsystem"
         " memory\n"
-        "                    accounting, host-time attribution, lane"
-        " utilization\n"
-        "                    (JSON to F); simulated results are"
-        " byte-identical\n"
-        "                    with or without it, and it composes with"
-        " --threads\n"
+        "                    accounting and host-time attribution"
+        " (JSON to F);\n"
+        "                    simulated results are byte-identical with"
+        " or\n"
+        "                    without it\n"
         "  --fault=NAME      inject a protocol bug (skip-invalidate |"
         " skip-downgrade)\n"
         "  --check[=MODE]    run the coherence sanitizer (exit 3 on"
@@ -255,8 +250,6 @@ parseArg(Options& o, const std::string& arg)
         o.jitterSet = true;
     } else if (eat("--faults=", &v)) {
         o.faults = v;
-    } else if (eat("--threads=", &v)) {
-        o.threads = std::atoi(v.c_str());
     } else if (eat("--horizon=", &v)) {
         o.horizon = std::strtoull(v.c_str(), nullptr, 0);
     } else if (eat("--rto=", &v)) {
@@ -333,8 +326,6 @@ validateOptions(const Options& o)
         std::fprintf(stderr, "ttsim: %s\n", msg);
         std::exit(2);
     };
-    if (o.threads < 1 || o.threads > 256)
-        die("--threads must be between 1 and 256");
     if (o.checkMode != "fast" && o.checkMode != "paranoid")
         die("--check accepts mode 'fast' or 'paranoid'");
     if (o.faults.empty()) {
@@ -467,10 +458,8 @@ configKey(const Options& o)
     return k;
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+runTtsim(int argc, char** argv)
 {
     Options o;
     for (int i = 1; i < argc; ++i) {
@@ -502,7 +491,6 @@ main(int argc, char** argv)
     cfg.core.blockSize = o.blockSize;
     cfg.core.quantum = o.quantum;
     cfg.net.latency = o.netLatency;
-    cfg.core.threads = o.threads;
     if (o.seed)
         cfg.core.seed = o.seed;
 
@@ -868,12 +856,13 @@ main(int argc, char** argv)
         BenchCase c;
         c.system = o.system;
         c.app = app->name();
-        c.threads = o.threads;
         c.dataset = o.dataset;
         c.cycles = r.execTime;
         c.events = r.events;
         c.wallMs = wallMs;
         c.checksum = app->checksum();
+        c.netMessages = target.m().stats().get("net.messages");
+        c.netWords = target.m().stats().get("net.words");
         rep.cases.push_back(std::move(c));
         if (!rep.writeJsonFile(o.benchJson)) {
             std::fprintf(stderr, "cannot write %s\n",
@@ -884,4 +873,22 @@ main(int argc, char** argv)
                     o.benchJson.c_str(), rep.eventsPerSec());
     }
     return checkFailed ? 3 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    // tt_fatal reports a user or configuration error (an unknown
+    // name, a malformed spec or input file) by printing it and
+    // throwing std::runtime_error; like any usage error it exits 2.
+    // tt_panic's std::logic_error marks a simulator bug and stays
+    // uncaught.
+    try {
+        return runTtsim(argc, argv);
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "ttsim: %s\n", e.what());
+        return 2;
+    }
 }
