@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "apps/workloads.hh"
@@ -25,10 +26,16 @@ namespace
 // Partitioning helpers
 // --------------------------------------------------------------------
 
+// gtest names each case of a parameterised suite by a byte dump of
+// its parameter. Without `tag` the last four bytes of RangeCase would
+// be uninitialised padding, and the case names would change from one
+// build to the next. `tag` has no meaning for the tests; its values
+// keep the names under which these cases are already tracked.
 struct RangeCase
 {
     std::size_t count;
     int nproc;
+    std::uint32_t tag;
 };
 
 class BlockRangeProperty : public ::testing::TestWithParam<RangeCase>
@@ -37,7 +44,8 @@ class BlockRangeProperty : public ::testing::TestWithParam<RangeCase>
 
 TEST_P(BlockRangeProperty, RangesPartitionExactly)
 {
-    const auto [count, nproc] = GetParam();
+    const auto [count, nproc, tag] = GetParam();
+    (void)tag;
     std::size_t covered = 0;
     std::size_t prevEnd = 0;
     for (int p = 0; p < nproc; ++p) {
@@ -55,7 +63,8 @@ TEST_P(BlockRangeProperty, RangesPartitionExactly)
 
 TEST_P(BlockRangeProperty, OwnerOfMatchesRanges)
 {
-    const auto [count, nproc] = GetParam();
+    const auto [count, nproc, tag] = GetParam();
+    (void)tag;
     for (int p = 0; p < nproc; ++p) {
         const IndexRange r = blockRange(count, nproc, p);
         for (std::size_t i = r.begin; i < r.end; ++i)
@@ -65,10 +74,10 @@ TEST_P(BlockRangeProperty, OwnerOfMatchesRanges)
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BlockRangeProperty,
-    ::testing::Values(RangeCase{100, 4}, RangeCase{7, 3},
-                      RangeCase{32, 32}, RangeCase{33, 32},
-                      RangeCase{1000, 7}, RangeCase{5, 8},
-                      RangeCase{192000, 32}));
+    ::testing::Values(RangeCase{100, 4, 0x70}, RangeCase{7, 3, 0x70},
+                      RangeCase{32, 32, 0xF0}, RangeCase{33, 32, 0xD0},
+                      RangeCase{1000, 7, 0xD0}, RangeCase{5, 8, 0x40},
+                      RangeCase{192000, 32, 0xD0}));
 
 TEST(ChunkedArray, AddressesAreDisjointAndOwnerContiguous)
 {
