@@ -23,6 +23,7 @@
 
 #include "bench/bench_common.hh"
 #include "config/bench_harness.hh"
+#include "sim/json.hh"
 
 using namespace tt;
 using namespace tt::bench;
@@ -203,14 +204,16 @@ main()
                 std::fflush(stdout);
             }
         }
-        if (rep.traceOnWallMs > 0 &&
-            rep.txnOnEventsPerSec() < rep.traceOnEventsPerSec()) {
+        const double txnEps =
+            BenchReport::perSec(rep.txnOnEvents, rep.txnOnWallMs);
+        const double traceEps =
+            BenchReport::perSec(rep.traceOnEvents, rep.traceOnWallMs);
+        if (rep.traceOnWallMs > 0 && txnEps < traceEps) {
             std::fprintf(stderr,
                          "txn tracer slowdown (%.2fx) exceeds the "
                          "flight-recorder bound (%.2fx)\n",
-                         rep.eventsPerSec() / rep.txnOnEventsPerSec(),
-                         rep.eventsPerSec() /
-                             rep.traceOnEventsPerSec());
+                         rep.eventsPerSec() / txnEps,
+                         rep.eventsPerSec() / traceEps);
             return 1;
         }
     }
@@ -282,7 +285,8 @@ main()
         const char* boundEnv = std::getenv("TT_TELEMETRY_BOUND");
         const double bound = boundEnv ? std::atof(boundEnv) : 1.05;
         const double slow =
-            rep.eventsPerSec() / rep.telemetryOnEventsPerSec();
+            rep.eventsPerSec() / BenchReport::perSec(rep.telemetryOnEvents,
+                                                     rep.telemetryOnWallMs);
         if (slow > bound) {
             std::fprintf(stderr,
                          "telemetry slowdown (%.3fx) exceeds the "
@@ -333,7 +337,7 @@ main()
     rep.printTable(std::cout);
 
     const std::string out = jsonPath ? jsonPath : "BENCH_simcore.json";
-    if (!rep.writeJsonFile(out)) {
+    if (!writeJsonFile(out, [&](std::ostream& os) { rep.writeJson(os); })) {
         std::fprintf(stderr, "cannot write %s\n", out.c_str());
         return 1;
     }

@@ -2,8 +2,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -29,63 +29,15 @@ BenchReport::totalWallMs() const
 }
 
 double
+BenchReport::perSec(std::uint64_t events, double wallMs)
+{
+    return wallMs > 0 ? events / (wallMs / 1000.0) : 0;
+}
+
+double
 BenchReport::eventsPerSec() const
 {
-    const double ms = totalWallMs();
-    return ms > 0 ? totalEvents() / (ms / 1000.0) : 0;
-}
-
-double
-BenchReport::checkerFastEventsPerSec() const
-{
-    return checkerFastWallMs > 0
-               ? checkerFastEvents / (checkerFastWallMs / 1000.0)
-               : 0;
-}
-
-double
-BenchReport::checkerParanoidEventsPerSec() const
-{
-    return checkerParanoidWallMs > 0
-               ? checkerParanoidEvents / (checkerParanoidWallMs / 1000.0)
-               : 0;
-}
-
-double
-BenchReport::traceOnEventsPerSec() const
-{
-    return traceOnWallMs > 0 ? traceOnEvents / (traceOnWallMs / 1000.0)
-                             : 0;
-}
-
-double
-BenchReport::analyzeOnEventsPerSec() const
-{
-    return analyzeOnWallMs > 0
-               ? analyzeOnEvents / (analyzeOnWallMs / 1000.0)
-               : 0;
-}
-
-double
-BenchReport::txnOnEventsPerSec() const
-{
-    return txnOnWallMs > 0 ? txnOnEvents / (txnOnWallMs / 1000.0) : 0;
-}
-
-double
-BenchReport::transportOnEventsPerSec() const
-{
-    return transportOnWallMs > 0
-               ? transportOnEvents / (transportOnWallMs / 1000.0)
-               : 0;
-}
-
-double
-BenchReport::telemetryOnEventsPerSec() const
-{
-    return telemetryOnWallMs > 0
-               ? telemetryOnEvents / (telemetryOnWallMs / 1000.0)
-               : 0;
+    return perSec(totalEvents(), totalWallMs());
 }
 
 void
@@ -118,64 +70,32 @@ BenchReport::printTable(std::ostream& os) const
                       eventsPerSec() / baselineEventsPerSec);
         os << line;
     }
-    if (checkerFastWallMs > 0) {
+    // One line per measured overhead pass (wall_ms == 0: not run).
+    auto overhead = [&](const char* on, const char* off,
+                        std::uint64_t events, double wallMs,
+                        const std::string& extra = "") {
+        if (wallMs <= 0)
+            return;
+        const double eps = perSec(events, wallMs);
         std::snprintf(line, sizeof line,
-                      "checker on (fast): %.0f events/sec (%.2fx "
-                      "slower than checker off)\n",
-                      checkerFastEventsPerSec(),
-                      eventsPerSec() / checkerFastEventsPerSec());
+                      "%s: %.0f events/sec (%.2fx slower than %s%s)\n",
+                      on, eps, eventsPerSec() / eps, off, extra.c_str());
         os << line;
-    }
-    if (checkerParanoidWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "checker on (paranoid): %.0f events/sec (%.2fx "
-                      "slower than checker off)\n",
-                      checkerParanoidEventsPerSec(),
-                      eventsPerSec() / checkerParanoidEventsPerSec());
-        os << line;
-    }
-    if (traceOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "trace on: %.0f events/sec (%.2fx slower "
-                      "than trace off)\n",
-                      traceOnEventsPerSec(),
-                      eventsPerSec() / traceOnEventsPerSec());
-        os << line;
-    }
-    if (analyzeOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "analyze on: %.0f events/sec (%.2fx slower "
-                      "than analyze off)\n",
-                      analyzeOnEventsPerSec(),
-                      eventsPerSec() / analyzeOnEventsPerSec());
-        os << line;
-    }
-    if (txnOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "txn tracer on: %.0f events/sec (%.2fx slower "
-                      "than tracer off)\n",
-                      txnOnEventsPerSec(),
-                      eventsPerSec() / txnOnEventsPerSec());
-        os << line;
-    }
-    if (transportOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "faults+transport on: %.0f events/sec (%.2fx "
-                      "slower than faults off, %llu retransmits)\n",
-                      transportOnEventsPerSec(),
-                      eventsPerSec() / transportOnEventsPerSec(),
-                      static_cast<unsigned long long>(
-                          transportOnRetransmits));
-        os << line;
-    }
-    if (telemetryOnWallMs > 0) {
-        std::snprintf(line, sizeof line,
-                      "telemetry on: %.0f events/sec (%.2fx slower "
-                      "than telemetry off)\n",
-                      telemetryOnEventsPerSec(),
-                      eventsPerSec() / telemetryOnEventsPerSec());
-        os << line;
-    }
+    };
+    overhead("checker on (fast)", "checker off", checkerFastEvents,
+             checkerFastWallMs);
+    overhead("checker on (paranoid)", "checker off",
+             checkerParanoidEvents, checkerParanoidWallMs);
+    overhead("trace on", "trace off", traceOnEvents, traceOnWallMs);
+    overhead("analyze on", "analyze off", analyzeOnEvents,
+             analyzeOnWallMs);
+    overhead("txn tracer on", "tracer off", txnOnEvents, txnOnWallMs);
+    overhead("faults+transport on", "faults off", transportOnEvents,
+             transportOnWallMs,
+             ", " + std::to_string(transportOnRetransmits) +
+                 " retransmits");
+    overhead("telemetry on", "telemetry off", telemetryOnEvents,
+             telemetryOnWallMs);
     if (!memFootprint.empty()) {
         os << "memory footprint (em3d/small, telemetry probes):\n";
         for (const auto& e : memFootprint) {
@@ -191,183 +111,103 @@ BenchReport::printTable(std::ostream& os) const
     }
 }
 
-namespace
-{
-
-void
-jsonEscape(std::ostream& os, const std::string& s)
-{
-    os << '"';
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            os << '\\';
-        os << ch;
-    }
-    os << '"';
-}
-
-void
-jsonNumber(std::ostream& os, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
-}
-
-} // namespace
-
 void
 BenchReport::writeJson(std::ostream& os) const
 {
-    os << "{\n";
-    os << "  \"nodes\": " << nodes << ",\n";
-    os << "  \"scale\": " << scale << ",\n";
-    os << "  \"cases\": [\n";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-        const BenchCase& c = cases[i];
-        os << "    {\"system\": ";
-        jsonEscape(os, c.system);
-        os << ", \"app\": ";
-        jsonEscape(os, c.app);
-        os << ", \"dataset\": ";
-        jsonEscape(os, c.dataset);
-        os << ", \"cycles\": " << c.cycles;
-        os << ", \"events\": " << c.events;
-        os << ", \"wall_ms\": ";
-        jsonNumber(os, c.wallMs);
-        os << ", \"checksum\": ";
-        jsonNumber(os, c.checksum);
-        os << ", \"net_messages\": " << c.netMessages;
-        os << ", \"net_words\": " << c.netWords;
-        os << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-    os << "  \"total_events\": " << totalEvents() << ",\n";
-    os << "  \"total_wall_ms\": ";
-    jsonNumber(os, totalWallMs());
-    os << ",\n  \"events_per_sec\": ";
-    jsonNumber(os, eventsPerSec());
-    if (baselineEventsPerSec > 0) {
-        os << ",\n  \"baseline_events_per_sec\": ";
-        jsonNumber(os, baselineEventsPerSec);
-        os << ",\n  \"speedup\": ";
-        jsonNumber(os, eventsPerSec() / baselineEventsPerSec);
-        os << ",\n  \"baseline_note\": ";
-        jsonEscape(os, baselineNote);
-    }
-    if (checkerFastWallMs > 0 || checkerParanoidWallMs > 0) {
-        os << ",\n  \"checker_overhead_v2\": {";
-        bool first = true;
-        if (checkerFastWallMs > 0) {
-            os << "\n    \"fast\": {\"events\": " << checkerFastEvents
-               << ", \"wall_ms\": ";
-            jsonNumber(os, checkerFastWallMs);
-            os << ", \"events_per_sec_check_on\": ";
-            jsonNumber(os, checkerFastEventsPerSec());
-            os << ", \"slowdown_vs_check_off\": ";
-            jsonNumber(os, eventsPerSec() / checkerFastEventsPerSec());
-            os << "}";
-            first = false;
+    const double eps = eventsPerSec();
+    JsonWriter w(os);
+    // The members every overhead pass shares: its events, wall time
+    // and events/sec, and its slowdown against the plain grid.
+    auto overheadFields = [&](const std::string& mode,
+                              std::uint64_t events, double wallMs) {
+        const double onEps = perSec(events, wallMs);
+        w.field("events", events);
+        w.field("wall_ms", wallMs);
+        w.field("events_per_sec_" + mode + "_on", onEps);
+        w.field("slowdown_vs_" + mode + "_off", eps / onEps);
+    };
+    // wall_ms == 0 means "not measured": the entry is left out.
+    auto overhead = [&](const char* key, const char* mode,
+                        std::uint64_t events, double wallMs) {
+        if (wallMs > 0) {
+            w.key(key).object(JsonWriter::Inline, [&] {
+                overheadFields(mode, events, wallMs);
+            });
         }
-        if (checkerParanoidWallMs > 0) {
-            os << (first ? "" : ",") << "\n    \"paranoid\": {\"events\": "
-               << checkerParanoidEvents << ", \"wall_ms\": ";
-            jsonNumber(os, checkerParanoidWallMs);
-            os << ", \"events_per_sec_check_on\": ";
-            jsonNumber(os, checkerParanoidEventsPerSec());
-            os << ", \"slowdown_vs_check_off\": ";
-            jsonNumber(os,
-                       eventsPerSec() / checkerParanoidEventsPerSec());
-            os << "}";
-        }
-        os << "\n  }";
-    }
-    if (traceOnWallMs > 0) {
-        os << ",\n  \"trace_overhead\": {\"events\": " << traceOnEvents
-           << ", \"wall_ms\": ";
-        jsonNumber(os, traceOnWallMs);
-        os << ", \"events_per_sec_trace_on\": ";
-        jsonNumber(os, traceOnEventsPerSec());
-        os << ", \"slowdown_vs_trace_off\": ";
-        jsonNumber(os, eventsPerSec() / traceOnEventsPerSec());
-        os << "}";
-    }
-    if (analyzeOnWallMs > 0) {
-        os << ",\n  \"analyze_overhead\": {\"events\": "
-           << analyzeOnEvents << ", \"wall_ms\": ";
-        jsonNumber(os, analyzeOnWallMs);
-        os << ", \"events_per_sec_analyze_on\": ";
-        jsonNumber(os, analyzeOnEventsPerSec());
-        os << ", \"slowdown_vs_analyze_off\": ";
-        jsonNumber(os, eventsPerSec() / analyzeOnEventsPerSec());
-        os << "}";
-    }
-    if (txnOnWallMs > 0) {
-        os << ",\n  \"txn_trace_overhead\": {\"events\": "
-           << txnOnEvents << ", \"wall_ms\": ";
-        jsonNumber(os, txnOnWallMs);
-        os << ", \"events_per_sec_txn_on\": ";
-        jsonNumber(os, txnOnEventsPerSec());
-        os << ", \"slowdown_vs_txn_off\": ";
-        jsonNumber(os, eventsPerSec() / txnOnEventsPerSec());
-        os << "}";
-    }
-    if (transportOnWallMs > 0) {
-        os << ",\n  \"reliable_transport_overhead\": {\"faults\": ";
-        jsonEscape(os, transportFaultSpec);
-        os << ", \"events\": " << transportOnEvents
-           << ", \"wall_ms\": ";
-        jsonNumber(os, transportOnWallMs);
-        os << ", \"events_per_sec_faults_on\": ";
-        jsonNumber(os, transportOnEventsPerSec());
-        os << ", \"slowdown_vs_faults_off\": ";
-        jsonNumber(os, eventsPerSec() / transportOnEventsPerSec());
-        os << ", \"retransmits\": " << transportOnRetransmits << "}";
-    }
-    if (telemetryOnWallMs > 0) {
-        os << ",\n  \"telemetry_overhead\": {\"events\": "
-           << telemetryOnEvents << ", \"wall_ms\": ";
-        jsonNumber(os, telemetryOnWallMs);
-        os << ", \"events_per_sec_telemetry_on\": ";
-        jsonNumber(os, telemetryOnEventsPerSec());
-        os << ", \"slowdown_vs_telemetry_off\": ";
-        jsonNumber(os, eventsPerSec() / telemetryOnEventsPerSec());
-        os << "}";
-    }
-    if (!memFootprint.empty()) {
-        os << ",\n  \"mem_footprint\": {\"app\": \"em3d\", "
-              "\"dataset\": \"small\", \"host_cores\": "
-           << hostCores << ", \"entries\": [\n";
-        for (std::size_t i = 0; i < memFootprint.size(); ++i) {
-            const MemFootprintEntry& e = memFootprint[i];
-            os << "    {\"system\": ";
-            jsonEscape(os, e.system);
-            os << ", \"nodes\": " << e.nodes
-               << ", \"total_peak_bytes\": " << e.totalPeakBytes
-               << ", \"peak_bytes_per_node\": ";
-            jsonNumber(os, e.peakBytesPerNode);
-            os << ", \"subsystems\": {";
-            for (std::size_t j = 0; j < e.subsystems.size(); ++j) {
-                os << (j ? ", " : "");
-                jsonEscape(os, e.subsystems[j].name);
-                os << ": " << e.subsystems[j].peakBytes;
+    };
+    w.object(JsonWriter::Block, [&] {
+        w.field("nodes", nodes);
+        w.field("scale", scale);
+        w.key("cases").array(JsonWriter::Block, [&] {
+            for (const BenchCase& c : cases) {
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("system", c.system);
+                    w.field("app", c.app);
+                    w.field("dataset", c.dataset);
+                    w.field("cycles", c.cycles);
+                    w.field("events", c.events);
+                    w.field("wall_ms", c.wallMs);
+                    w.field("checksum", c.checksum);
+                    w.field("net_messages", c.netMessages);
+                    w.field("net_words", c.netWords);
+                });
             }
-            os << "}}" << (i + 1 < memFootprint.size() ? "," : "")
-               << "\n";
+        });
+        w.field("total_events", totalEvents());
+        w.field("total_wall_ms", totalWallMs());
+        w.field("events_per_sec", eps);
+        if (baselineEventsPerSec > 0) {
+            w.field("baseline_events_per_sec", baselineEventsPerSec);
+            w.field("speedup", eps / baselineEventsPerSec);
+            w.field("baseline_note", baselineNote);
         }
-        os << "  ]}";
-    }
-    os << "\n}\n";
-}
-
-bool
-BenchReport::writeJsonFile(const std::string& path) const
-{
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    writeJson(f);
-    return f.good();
+        if (checkerFastWallMs > 0 || checkerParanoidWallMs > 0) {
+            w.key("checker_overhead_v2").object(JsonWriter::Block, [&] {
+                overhead("fast", "check", checkerFastEvents,
+                         checkerFastWallMs);
+                overhead("paranoid", "check", checkerParanoidEvents,
+                         checkerParanoidWallMs);
+            });
+        }
+        overhead("trace_overhead", "trace", traceOnEvents, traceOnWallMs);
+        overhead("analyze_overhead", "analyze", analyzeOnEvents,
+                 analyzeOnWallMs);
+        overhead("txn_trace_overhead", "txn", txnOnEvents, txnOnWallMs);
+        if (transportOnWallMs > 0) {
+            w.key("reliable_transport_overhead")
+                .object(JsonWriter::Inline, [&] {
+                    w.field("faults", transportFaultSpec);
+                    overheadFields("faults", transportOnEvents,
+                                   transportOnWallMs);
+                    w.field("retransmits", transportOnRetransmits);
+                });
+        }
+        overhead("telemetry_overhead", "telemetry", telemetryOnEvents,
+                 telemetryOnWallMs);
+        if (!memFootprint.empty()) {
+            w.key("mem_footprint").object(JsonWriter::Inline, [&] {
+                w.field("app", "em3d");
+                w.field("dataset", "small");
+                w.field("host_cores", hostCores);
+                w.key("entries").array(JsonWriter::Block, [&] {
+                    for (const MemFootprintEntry& e : memFootprint) {
+                        w.object(JsonWriter::Inline, [&] {
+                            w.field("system", e.system);
+                            w.field("nodes", e.nodes);
+                            w.field("total_peak_bytes", e.totalPeakBytes);
+                            w.field("peak_bytes_per_node",
+                                    e.peakBytesPerNode);
+                            w.key("subsystems")
+                                .object(JsonWriter::Inline, [&] {
+                                    for (const auto& p : e.subsystems)
+                                        w.field(p.name, p.peakBytes);
+                                });
+                        });
+                    }
+                });
+            });
+        }
+    });
 }
 
 BenchCase

@@ -145,20 +145,13 @@ struct BenchReport
     std::uint64_t totalEvents() const;
     double totalWallMs() const;
     double eventsPerSec() const;
-    double checkerFastEventsPerSec() const;
-    double checkerParanoidEventsPerSec() const;
-    double traceOnEventsPerSec() const;
-    double analyzeOnEventsPerSec() const;
-    double txnOnEventsPerSec() const;
-    double transportOnEventsPerSec() const;
-    double telemetryOnEventsPerSec() const;
+    /** Events/sec of a pass; 0 when it was not measured (wallMs 0). */
+    static double perSec(std::uint64_t events, double wallMs);
 
     /** Pretty per-case table for humans. */
     void printTable(std::ostream& os) const;
     /** Machine-readable report (stable key order). */
     void writeJson(std::ostream& os) const;
-    /** writeJson to @p path; returns false on I/O failure. */
-    bool writeJsonFile(const std::string& path) const;
 };
 
 /**

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "obs/recorder.hh"
 #include "recovery/coordinator.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/watchdog.hh"
 
@@ -149,22 +149,6 @@ runOne(const CampaignConfig& cc, const std::string& system,
     return run;
 }
 
-void
-jsonEscape(std::ostream& os, const std::string& s)
-{
-    os << '"';
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            os << '\\';
-        else if (ch == '\n') {
-            os << "\\n";
-            continue;
-        }
-        os << ch;
-    }
-    os << '"';
-}
-
 } // namespace
 
 CampaignReport
@@ -223,23 +207,6 @@ CampaignReport::countOutcome(const std::string& outcome) const
 void
 CampaignReport::writeJson(std::ostream& os) const
 {
-    os << "{\n";
-    os << "  \"fault_spec\": ";
-    jsonEscape(os, faultSpec);
-    os << ",\n  \"base_seed\": " << baseSeed;
-    os << ",\n  \"runs_per_system\": " << runsPerSystem;
-    os << ",\n  \"reliable_transport\": "
-       << (reliable ? "true" : "false");
-    os << ",\n  \"shard\": {\"index\": " << shardIndex
-       << ", \"count\": " << shardCount << "}";
-    os << ",\n  \"totals\": {";
-    os << "\"runs\": " << runs.size();
-    os << ", \"ok\": " << countOutcome("ok");
-    os << ", \"violation\": " << countOutcome("violation");
-    os << ", \"watchdog\": " << countOutcome("watchdog");
-    os << ", \"panic\": " << countOutcome("panic");
-    os << ", \"error\": " << countOutcome("error");
-    os << ", \"unrecoverable\": " << countOutcome("unrecoverable");
     std::uint64_t faults = 0, retx = 0, acks = 0, dups = 0, ooo = 0,
                   dead = 0, trips = 0, crashes = 0, recoveries = 0;
     for (const CampaignRun& r : runs) {
@@ -253,151 +220,152 @@ CampaignReport::writeJson(std::ostream& os) const
         crashes += r.crashesInjected;
         recoveries += r.recoveries;
     }
-    os << ", \"faults_injected\": " << faults;
-    os << ", \"retransmits\": " << retx;
-    os << ", \"acks\": " << acks;
-    os << ", \"dup_dropped\": " << dups;
-    os << ", \"ooo_dropped\": " << ooo;
-    os << ", \"dead_links\": " << dead;
-    os << ", \"watchdog_trips\": " << trips;
-    os << "},\n";
-
-    // Crash-recovery summary (DESIGN.md §15): how many crash-stop
-    // failures the sweep injected, how many recoveries completed, and
-    // how many runs still finished clean. Present only when the fault
-    // mix scheduled crashes, so crash-free reports are unchanged.
-    if (crashes || recoveries || countOutcome("unrecoverable")) {
-        os << "  \"recovery\": {";
-        os << "\"crashes_injected\": " << crashes;
-        os << ", \"recoveries\": " << recoveries;
-        os << ", \"crashes_survived\": "
-           << countOutcome("ok") + countOutcome("violation");
-        os << ", \"unrecoverable\": " << countOutcome("unrecoverable");
-        os << "},\n";
-    }
-
-    // Per-system sharing-pattern mix, aggregated over the system's
-    // runs in cc.systems order (the order runs were produced).
-    os << "  \"sharing\": [\n";
+    // Systems in cc.systems order (the order runs were produced); the
+    // sharing and transaction sections aggregate each one's runs.
     std::vector<std::string> order;
     for (const CampaignRun& r : runs) {
         if (std::find(order.begin(), order.end(), r.system) ==
             order.end())
             order.push_back(r.system);
     }
-    for (std::size_t si = 0; si < order.size(); ++si) {
-        std::array<std::uint64_t, kSharePatterns> mix{};
-        std::uint64_t falseBlocks = 0;
-        for (const CampaignRun& r : runs) {
-            if (r.system != order[si])
-                continue;
-            for (int p = 0; p < kSharePatterns; ++p)
-                mix[static_cast<std::size_t>(p)] +=
-                    r.patternBlocks[static_cast<std::size_t>(p)];
-            falseBlocks += r.falseSharingBlocks;
-        }
-        os << "    {\"system\": ";
-        jsonEscape(os, order[si]);
-        os << ", \"patterns\": {";
-        for (int p = 0; p < kSharePatterns; ++p) {
-            os << (p ? ", " : "") << "\""
-               << sharePatternKey(static_cast<SharePattern>(p))
-               << "\": " << mix[static_cast<std::size_t>(p)];
-        }
-        os << "}, \"false_sharing_blocks\": " << falseBlocks << "}"
-           << (si + 1 < order.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
 
-    // Per-system coherence-transaction critical-path mix, aggregated
-    // the same way (DESIGN.md §14).
-    os << "  \"transactions\": [\n";
-    for (std::size_t si = 0; si < order.size(); ++si) {
-        std::uint64_t opened = 0, completed = 0, retxTxns = 0,
-                      wall = 0;
-        std::array<std::uint64_t, kTxnCats> cat{};
-        for (const CampaignRun& r : runs) {
-            if (r.system != order[si])
-                continue;
-            opened += r.txnOpened;
-            completed += r.txnCompleted;
-            retxTxns += r.txnRetx;
-            wall += r.txnWallTicks;
-            for (int c = 0; c < kTxnCats; ++c)
-                cat[static_cast<std::size_t>(c)] +=
-                    r.txnCatTicks[static_cast<std::size_t>(c)];
+    JsonWriter w(os);
+    w.object(JsonWriter::Block, [&] {
+        w.field("fault_spec", faultSpec);
+        w.field("base_seed", baseSeed);
+        w.field("runs_per_system", runsPerSystem);
+        w.field("reliable_transport", reliable);
+        w.key("shard").object(JsonWriter::Inline, [&] {
+            w.field("index", shardIndex);
+            w.field("count", shardCount);
+        });
+        w.key("totals").object(JsonWriter::Inline, [&] {
+            w.field("runs", runs.size());
+            for (const char* o : {"ok", "violation", "watchdog", "panic",
+                                  "error", "unrecoverable"})
+                w.field(o, countOutcome(o));
+            w.field("faults_injected", faults);
+            w.field("retransmits", retx);
+            w.field("acks", acks);
+            w.field("dup_dropped", dups);
+            w.field("ooo_dropped", ooo);
+            w.field("dead_links", dead);
+            w.field("watchdog_trips", trips);
+        });
+
+        // Crash-recovery summary (DESIGN.md §15): how many crash-stop
+        // failures the sweep injected, how many recoveries completed,
+        // and how many runs still finished clean. Present only when
+        // the fault mix scheduled crashes, so crash-free reports are
+        // unchanged.
+        if (crashes || recoveries || countOutcome("unrecoverable")) {
+            w.key("recovery").object(JsonWriter::Inline, [&] {
+                w.field("crashes_injected", crashes);
+                w.field("recoveries", recoveries);
+                w.field("crashes_survived",
+                        countOutcome("ok") + countOutcome("violation"));
+                w.field("unrecoverable", countOutcome("unrecoverable"));
+            });
         }
-        os << "    {\"system\": ";
-        jsonEscape(os, order[si]);
-        os << ", \"opened\": " << opened
-           << ", \"completed\": " << completed
-           << ", \"retx_txns\": " << retxTxns
-           << ", \"wall_ticks\": " << wall << ", \"breakdown\": {";
-        for (int c = 0; c < kTxnCats; ++c) {
-            os << (c ? ", " : "") << "\""
-               << txnCatName(static_cast<TxnCat>(c))
-               << "\": " << cat[static_cast<std::size_t>(c)];
-        }
-        os << "}}" << (si + 1 < order.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-    os << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const CampaignRun& r = runs[i];
-        char seedHex[32];
-        std::snprintf(seedHex, sizeof seedHex, "%016llx",
-                      static_cast<unsigned long long>(r.seed));
-        os << "    {\"system\": ";
-        jsonEscape(os, r.system);
-        os << ", \"seed\": \"" << seedHex << '"';
-        os << ", \"index\": " << r.index;
-        os << ", \"outcome\": ";
-        jsonEscape(os, r.outcome);
-        os << ", \"cycles\": " << r.cycles;
-        os << ", \"faults_injected\": " << r.faultsInjected;
-        os << ", \"retransmits\": " << r.retransmits;
-        os << ", \"acks\": " << r.acks;
-        os << ", \"dup_dropped\": " << r.dupDropped;
-        os << ", \"ooo_dropped\": " << r.oooDropped;
-        os << ", \"dead_links\": " << r.deadLinks;
-        os << ", \"violations\": " << r.violations;
-        os << ", \"watchdog_trips\": " << r.watchdogTrips;
-        if (r.crashesInjected || r.recoveries) {
-            os << ", \"crashes_injected\": " << r.crashesInjected
-               << ", \"recoveries\": " << r.recoveries;
-        }
-        if (!r.dominantPattern.empty()) {
-            os << ", \"dominant_pattern\": ";
-            jsonEscape(os, r.dominantPattern);
-            os << ", \"false_sharing_blocks\": "
-               << r.falseSharingBlocks;
-        }
-        if (r.txnOpened) {
-            os << ", \"txn_completed\": " << r.txnCompleted
-               << ", \"txn_retx\": " << r.txnRetx
-               << ", \"txn_wall_ticks\": " << r.txnWallTicks;
-            if (!r.txnDominantPattern.empty()) {
-                os << ", \"txn_dominant_pattern\": ";
-                jsonEscape(os, r.txnDominantPattern);
+
+        w.key("sharing").array(JsonWriter::Block, [&] {
+            for (const std::string& sys : order) {
+                std::array<std::uint64_t, kSharePatterns> mix{};
+                std::uint64_t falseBlocks = 0;
+                for (const CampaignRun& r : runs) {
+                    if (r.system != sys)
+                        continue;
+                    for (std::size_t p = 0; p < mix.size(); ++p)
+                        mix[p] += r.patternBlocks[p];
+                    falseBlocks += r.falseSharingBlocks;
+                }
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("system", sys);
+                    w.key("patterns").object(JsonWriter::Inline, [&] {
+                        for (int p = 0; p < kSharePatterns; ++p)
+                            w.field(sharePatternKey(
+                                        static_cast<SharePattern>(p)),
+                                    mix[static_cast<std::size_t>(p)]);
+                    });
+                    w.field("false_sharing_blocks", falseBlocks);
+                });
             }
-        }
-        if (!r.detail.empty()) {
-            os << ", \"detail\": ";
-            jsonEscape(os, r.detail);
-        }
-        os << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-}
+        });
 
-bool
-CampaignReport::writeJsonFile(const std::string& path) const
-{
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    writeJson(f);
-    return f.good();
+        // Per-system coherence-transaction critical-path mix (DESIGN.md
+        // §14).
+        w.key("transactions").array(JsonWriter::Block, [&] {
+            for (const std::string& sys : order) {
+                std::uint64_t opened = 0, completed = 0, retxTxns = 0,
+                              wall = 0;
+                std::array<std::uint64_t, kTxnCats> cat{};
+                for (const CampaignRun& r : runs) {
+                    if (r.system != sys)
+                        continue;
+                    opened += r.txnOpened;
+                    completed += r.txnCompleted;
+                    retxTxns += r.txnRetx;
+                    wall += r.txnWallTicks;
+                    for (std::size_t c = 0; c < cat.size(); ++c)
+                        cat[c] += r.txnCatTicks[c];
+                }
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("system", sys);
+                    w.field("opened", opened);
+                    w.field("completed", completed);
+                    w.field("retx_txns", retxTxns);
+                    w.field("wall_ticks", wall);
+                    w.key("breakdown").object(JsonWriter::Inline, [&] {
+                        for (int c = 0; c < kTxnCats; ++c)
+                            w.field(txnCatName(static_cast<TxnCat>(c)),
+                                    cat[static_cast<std::size_t>(c)]);
+                    });
+                });
+            }
+        });
+
+        w.key("runs").array(JsonWriter::Block, [&] {
+            for (const CampaignRun& r : runs) {
+                char seedHex[32];
+                std::snprintf(seedHex, sizeof seedHex, "%016llx",
+                              static_cast<unsigned long long>(r.seed));
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("system", r.system);
+                    w.field("seed", seedHex);
+                    w.field("index", r.index);
+                    w.field("outcome", r.outcome);
+                    w.field("cycles", r.cycles);
+                    w.field("faults_injected", r.faultsInjected);
+                    w.field("retransmits", r.retransmits);
+                    w.field("acks", r.acks);
+                    w.field("dup_dropped", r.dupDropped);
+                    w.field("ooo_dropped", r.oooDropped);
+                    w.field("dead_links", r.deadLinks);
+                    w.field("violations", r.violations);
+                    w.field("watchdog_trips", r.watchdogTrips);
+                    if (r.crashesInjected || r.recoveries) {
+                        w.field("crashes_injected", r.crashesInjected);
+                        w.field("recoveries", r.recoveries);
+                    }
+                    if (!r.dominantPattern.empty()) {
+                        w.field("dominant_pattern", r.dominantPattern);
+                        w.field("false_sharing_blocks",
+                                r.falseSharingBlocks);
+                    }
+                    if (r.txnOpened) {
+                        w.field("txn_completed", r.txnCompleted);
+                        w.field("txn_retx", r.txnRetx);
+                        w.field("txn_wall_ticks", r.txnWallTicks);
+                        if (!r.txnDominantPattern.empty())
+                            w.field("txn_dominant_pattern",
+                                    r.txnDominantPattern);
+                    }
+                    if (!r.detail.empty())
+                        w.field("detail", r.detail);
+                });
+            }
+        });
+    });
 }
 
 } // namespace tt

@@ -121,7 +121,6 @@ struct CampaignReport
 
     /** Deterministic JSON (stable order, no wall-clock). */
     void writeJson(std::ostream& os) const;
-    bool writeJsonFile(const std::string& path) const;
 };
 
 /** Derive the i-th run seed from the campaign base seed (SplitMix64). */

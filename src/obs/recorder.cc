@@ -211,6 +211,12 @@ FlightRecorder::finalize()
         _writer->close();
 }
 
+bool
+FlightRecorder::traceOk() const
+{
+    return !_writer || _writer->ok();
+}
+
 std::vector<TraceRecord>
 FlightRecorder::ringOf(NodeId n) const
 {

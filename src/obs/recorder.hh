@@ -402,6 +402,12 @@ class FlightRecorder
     void finalize();
 
     /**
+     * False when openTrace() could not open its file or a write to it
+     * failed; true when no trace was asked for. Final after finalize().
+     */
+    bool traceOk() const;
+
+    /**
      * Deterministic human-readable dump of the last (up to)
      * @p perNode retained records of every node — the crash flight
      * recorder's contribution to a minimized failure report.

@@ -4,10 +4,10 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 
 #include "mem/addr.hh"
+#include "sim/json.hh"
 
 namespace tt
 {
@@ -46,17 +46,6 @@ hexAddr(Addr a)
     char buf[24];
     std::snprintf(buf, sizeof buf, "0x%" PRIx64, a);
     return buf;
-}
-
-void
-jsonHistogram(std::ostream& os, const Histogram& h)
-{
-    os << "{\"width\": " << h.width() << ", \"buckets\": [";
-    const auto& b = h.buckets();
-    for (std::size_t i = 0; i < b.size(); ++i)
-        os << (i ? ", " : "") << b[i];
-    os << "], \"underflow\": " << h.underflow()
-       << ", \"overflow\": " << h.overflow() << "}";
 }
 
 /** Stable snake_case pattern keys for JSON. */
@@ -649,102 +638,99 @@ void
 SharingAnalyzer::writeJson(std::ostream& os) const
 {
     const Summary s = summarize();
-
-    os << "{\n";
-    os << "  \"block_size\": " << _p.blockSize << ",\n";
-    os << "  \"page_size\": " << _p.pageSize << ",\n";
-    os << "  \"nodes\": " << _nodes << ",\n";
-
-    os << "  \"summary\": {";
-    os << "\"blocks\": " << s.blocks;
-    os << ", \"reads\": " << s.reads;
-    os << ", \"writes\": " << s.writes;
-    os << ", \"inval_rounds\": " << s.invalRounds;
-    os << ", \"inval_fanout\": " << s.invalFanout;
-    os << ", \"recalls\": " << s.recalls;
-    os << ", \"updates\": " << s.updates;
-    os << ", \"dominant\": \"" << kPatternKeys[static_cast<int>(
-              s.dominant())]
-       << "\"";
-    os << ", \"patterns\": {";
-    for (int i = 0; i < kSharePatterns; ++i) {
-        os << (i ? ", " : "") << "\"" << kPatternKeys[i] << "\": "
-           << s.blocksByPattern[static_cast<std::size_t>(i)];
-    }
-    os << "}, \"false_sharing\": {\"blocks\": " << s.falseSharingBlocks
-       << ", \"conflict_rounds\": " << s.falseSharingInvals << "}},\n";
-
-    os << "  \"false_sharing_blocks\": [";
-    bool first = true;
-    for (const auto& [blk, b] : _blocks) {
-        if (!falselyShared(b))
-            continue;
-        os << (first ? "\n" : ",\n") << "    {\"blk\": \""
-           << hexAddr(blk) << "\", \"nodes\": " << b.footprints.size()
-           << ", \"conflict_rounds\": " << b.invals + b.recalls << "}";
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "],\n";
-
-    os << "  \"homes\": [\n";
-    for (NodeId n = 0; n < _nodes; ++n) {
-        const HomeStats& h = _homes[static_cast<std::size_t>(n)];
-        os << "    {\"node\": " << n
-           << ", \"dir_transitions\": " << h.dirTransitions
-           << ", \"inval_rounds\": " << h.invalRounds
-           << ", \"fanout_sum\": " << h.fanoutSum
-           << ", \"fanout_max\": " << h.fanoutMax
-           << ", \"occupancy\": " << h.occupancy
-           << ", \"fanout_hist\": ";
-        jsonHistogram(os, h.fanout);
-        os << ", \"occupancy_hist\": ";
-        jsonHistogram(os, h.busy);
-        os << "}" << (n + 1 < _nodes ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-
     const auto pages = pageTable();
-    os << "  \"pages\": [\n";
-    std::size_t pi = 0;
-    for (const auto& [vpn, pa] : pages) {
-        os << "    {\"page\": \"" << hexAddr(vpn * _p.pageSize)
-           << "\", \"home\": " << pa.home
-           << ", \"reads\": " << pa.reads
-           << ", \"writes\": " << pa.writes
-           << ", \"inval_rounds\": " << pa.invalRounds
-           << ", \"fanout\": " << pa.fanout
-           << ", \"updates\": " << pa.updates << ", \"pattern\": \""
-           << kPatternKeys[static_cast<int>(pa.dominant())] << "\"}"
-           << (++pi < pages.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-
     const auto advice = advise();
-    os << "  \"advice\": [\n";
-    for (std::size_t i = 0; i < advice.size(); ++i) {
-        const Advice& a = advice[i];
-        os << "    {\"first_page\": \"" << hexAddr(a.firstPage)
-           << "\", \"last_page\": \"" << hexAddr(a.lastPage)
-           << "\", \"pages\": " << a.pages << ", \"pattern\": \""
-           << kPatternKeys[static_cast<int>(a.pattern)]
-           << "\", \"percent\": " << a.percent
-           << ", \"est_msgs_saved\": " << a.estSavedMsgs
-           << ", \"false_sharing\": "
-           << (a.falseSharing ? "true" : "false")
-           << ", \"action\": \"" << a.action << "\"}"
-           << (i + 1 < advice.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-}
 
-bool
-SharingAnalyzer::writeJsonFile(const std::string& path) const
-{
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    writeJson(f);
-    return f.good();
+    JsonWriter w(os);
+    w.object(JsonWriter::Block, [&] {
+        w.field("block_size", _p.blockSize);
+        w.field("page_size", _p.pageSize);
+        w.field("nodes", _nodes);
+
+        w.key("summary").object(JsonWriter::Inline, [&] {
+            w.field("blocks", s.blocks);
+            w.field("reads", s.reads);
+            w.field("writes", s.writes);
+            w.field("inval_rounds", s.invalRounds);
+            w.field("inval_fanout", s.invalFanout);
+            w.field("recalls", s.recalls);
+            w.field("updates", s.updates);
+            w.field("dominant", kPatternKeys[static_cast<int>(s.dominant())]);
+            w.key("patterns").object(JsonWriter::Inline, [&] {
+                for (int i = 0; i < kSharePatterns; ++i)
+                    w.field(kPatternKeys[i],
+                            s.blocksByPattern[static_cast<std::size_t>(i)]);
+            });
+            w.key("false_sharing").object(JsonWriter::Inline, [&] {
+                w.field("blocks", s.falseSharingBlocks);
+                w.field("conflict_rounds", s.falseSharingInvals);
+            });
+        });
+
+        w.key("false_sharing_blocks").array(JsonWriter::Block, [&] {
+            for (const auto& [blk, b] : _blocks) {
+                if (!falselyShared(b))
+                    continue;
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("blk", hexAddr(blk));
+                    w.field("nodes", b.footprints.size());
+                    w.field("conflict_rounds", b.invals + b.recalls);
+                });
+            }
+        });
+
+        w.key("homes").array(JsonWriter::Block, [&] {
+            for (NodeId n = 0; n < _nodes; ++n) {
+                const HomeStats& h = _homes[static_cast<std::size_t>(n)];
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("node", n);
+                    w.field("dir_transitions", h.dirTransitions);
+                    w.field("inval_rounds", h.invalRounds);
+                    w.field("fanout_sum", h.fanoutSum);
+                    w.field("fanout_max", h.fanoutMax);
+                    w.field("occupancy", h.occupancy);
+                    w.key("fanout_hist").object(JsonWriter::Inline, [&] {
+                        w.histogramFields(h.fanout);
+                    });
+                    w.key("occupancy_hist").object(JsonWriter::Inline, [&] {
+                        w.histogramFields(h.busy);
+                    });
+                });
+            }
+        });
+
+        w.key("pages").array(JsonWriter::Block, [&] {
+            for (const auto& [vpn, pa] : pages) {
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("page", hexAddr(vpn * _p.pageSize));
+                    w.field("home", pa.home);
+                    w.field("reads", pa.reads);
+                    w.field("writes", pa.writes);
+                    w.field("inval_rounds", pa.invalRounds);
+                    w.field("fanout", pa.fanout);
+                    w.field("updates", pa.updates);
+                    w.field("pattern",
+                            kPatternKeys[static_cast<int>(pa.dominant())]);
+                });
+            }
+        });
+
+        w.key("advice").array(JsonWriter::Block, [&] {
+            for (const Advice& a : advice) {
+                w.object(JsonWriter::Inline, [&] {
+                    w.field("first_page", hexAddr(a.firstPage));
+                    w.field("last_page", hexAddr(a.lastPage));
+                    w.field("pages", a.pages);
+                    w.field("pattern",
+                            kPatternKeys[static_cast<int>(a.pattern)]);
+                    w.field("percent", a.percent);
+                    w.field("est_msgs_saved", a.estSavedMsgs);
+                    w.field("false_sharing", a.falseSharing);
+                    w.field("action", a.action);
+                });
+            }
+        });
+    });
 }
 
 } // namespace tt

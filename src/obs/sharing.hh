@@ -181,7 +181,6 @@ class SharingAnalyzer
 
     /** Deterministic, byte-stable JSON (--analyze=PATH). */
     void writeJson(std::ostream& os) const;
-    bool writeJsonFile(const std::string& path) const;
 
   private:
     struct PageAgg; ///< per-page roll-up built at report time

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -31,18 +30,6 @@ catName(HostTimer::Cat c)
         return "transport";
     }
     return "?";
-}
-
-void
-jsonNum(std::ostream& os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
 }
 
 constexpr HostTimer::Cat kAllCats[] = {
@@ -238,53 +225,35 @@ Telemetry::finalize()
 void
 Telemetry::writeReport(std::ostream& os) const
 {
-    os << "{\n  \"nodes\": " << _nodes << ",\n";
-    os << "  \"mem\": {\n";
-    os << "    \"samples\": " << _memSamples << ",\n";
-    os << "    \"total_peak_bytes\": " << _totalPeak << ",\n";
-    os << "    \"peak_bytes_per_node\": ";
-    jsonNum(os, peakBytesPerNode());
-    os << ",\n    \"subsystems\": {";
-    bool first = true;
-    for (const ProbeResult& r : _results) {
-        os << (first ? "\n" : ",\n");
-        first = false;
-        os << "      \"" << r.name << "\": {\"final_bytes\": "
-           << r.finalBytes << ", \"peak_bytes\": " << r.peakBytes
-           << "}";
-    }
-    os << (first ? "}" : "\n    }") << "\n  },\n";
-
-    os << "  \"host\": {\n";
-    os << "    \"wall_ms\": ";
-    jsonNum(os, _wallNs / 1e6);
-    os << ",\n    \"sample_every\": " << HostTimer::kTimeSample;
-    os << ",\n    \"events\": " << _timer.events();
-    os << ",\n    \"timed_events\": " << _timer.timedEvents();
-    os << ",\n    \"attributed_pct\": ";
-    jsonNum(os, attributedPct());
-    os << ",\n    \"categories_ms\": {";
-    first = true;
-    for (HostTimer::Cat c : kAllCats) {
-        os << (first ? "" : ", ");
-        first = false;
-        os << "\"" << catName(c) << "\": ";
-        jsonNum(os, catNs(c) / 1e6);
-    }
-    os << ", \"engine\": ";
-    jsonNum(os, engineNs() / 1e6);
-    os << "}\n  }";
-    os << "\n}\n";
-}
-
-bool
-Telemetry::writeReportFile(const std::string& path) const
-{
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    writeReport(f);
-    return f.good();
+    JsonWriter w(os);
+    w.object(JsonWriter::Block, [&] {
+        w.field("nodes", _nodes);
+        w.key("mem").object(JsonWriter::Block, [&] {
+            w.field("samples", _memSamples);
+            w.field("total_peak_bytes", _totalPeak);
+            w.field("peak_bytes_per_node", peakBytesPerNode());
+            w.key("subsystems").object(JsonWriter::Block, [&] {
+                for (const ProbeResult& r : _results) {
+                    w.key(r.name).object(JsonWriter::Inline, [&] {
+                        w.field("final_bytes", r.finalBytes);
+                        w.field("peak_bytes", r.peakBytes);
+                    });
+                }
+            });
+        });
+        w.key("host").object(JsonWriter::Block, [&] {
+            w.field("wall_ms", _wallNs / 1e6);
+            w.field("sample_every", HostTimer::kTimeSample);
+            w.field("events", _timer.events());
+            w.field("timed_events", _timer.timedEvents());
+            w.field("attributed_pct", attributedPct());
+            w.key("categories_ms").object(JsonWriter::Inline, [&] {
+                for (HostTimer::Cat c : kAllCats)
+                    w.field(catName(c), catNs(c) / 1e6);
+                w.field("engine", engineNs() / 1e6);
+            });
+        });
+    });
 }
 
 void

@@ -97,7 +97,6 @@ class Telemetry
 
     /** Write the telemetry report as a JSON document. */
     void writeReport(std::ostream& os) const;
-    bool writeReportFile(const std::string& path) const;
 
     /** One-paragraph human summary for stdout. */
     void printSummary(std::ostream& os) const;

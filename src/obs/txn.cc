@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/sharing.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -350,6 +351,22 @@ writeBreakdown(std::ostream& os,
 
 } // namespace
 
+std::vector<std::pair<Addr, const TxnTracer::PageAgg*>>
+TxnTracer::pagesByWall() const
+{
+    std::vector<std::pair<Addr, const PageAgg*>> pages;
+    pages.reserve(_byPage.size());
+    for (const auto& [va, pg] : _byPage)
+        pages.emplace_back(va, &pg);
+    std::sort(pages.begin(), pages.end(),
+              [](const auto& a, const auto& b) {
+                  if (a.second->wallTicks != b.second->wallTicks)
+                      return a.second->wallTicks > b.second->wallTicks;
+                  return a.first < b.first;
+              });
+    return pages;
+}
+
 void
 TxnTracer::writeReport(std::ostream& os) const
 {
@@ -381,17 +398,7 @@ TxnTracer::writeReport(std::ostream& os) const
         os << "\n";
     }
 
-    // Top pages by attributed wall time (wall desc, va asc).
-    std::vector<std::pair<Addr, const PageAgg*>> pages;
-    pages.reserve(_byPage.size());
-    for (const auto& [va, pg] : _byPage)
-        pages.emplace_back(va, &pg);
-    std::sort(pages.begin(), pages.end(),
-              [](const auto& a, const auto& b) {
-                  if (a.second->wallTicks != b.second->wallTicks)
-                      return a.second->wallTicks > b.second->wallTicks;
-                  return a.first < b.first;
-              });
+    const auto pages = pagesByWall();
     const std::size_t keep = std::min<std::size_t>(pages.size(), 8);
     os << "top pages by wall time (" << keep << " of " << pages.size()
        << "):\n";
@@ -406,89 +413,56 @@ TxnTracer::writeReport(std::ostream& os) const
 }
 
 void
-TxnTracer::writeJson(std::ostream& os, int indent) const
+TxnTracer::writeJson(std::ostream& os) const
 {
-    const std::string in(static_cast<std::size_t>(indent), ' ');
-    const std::string in1 = in + "  ";
-    const std::string in2 = in1 + "  ";
-    const std::string in3 = in2 + "  ";
-
-    auto breakdown = [&](const std::array<std::uint64_t, kTxnCats>& c,
-                         const std::string& pad) {
-        os << "{";
-        for (int i = 0; i < kTxnCats; ++i) {
-            if (i)
-                os << ",";
-            os << "\n"
-               << pad << "  \"" << txnCatName(static_cast<TxnCat>(i))
-               << "\": " << c[static_cast<std::size_t>(i)];
-        }
-        os << "\n" << pad << "}";
+    JsonWriter w(os);
+    auto breakdown = [&](const std::array<std::uint64_t, kTxnCats>& c) {
+        w.key("breakdown").object(JsonWriter::Block, [&] {
+            for (int i = 0; i < kTxnCats; ++i)
+                w.field(txnCatName(static_cast<TxnCat>(i)),
+                        c[static_cast<std::size_t>(i)]);
+        });
     };
 
-    os << "{\n";
-    os << in1 << "\"opened\": " << _summary.opened << ",\n";
-    os << in1 << "\"completed\": " << _summary.completed << ",\n";
-    os << in1 << "\"retx_txns\": " << _summary.retxTxns << ",\n";
-    os << in1 << "\"sup_arrivals\": " << _summary.supArrivals << ",\n";
-    os << in1 << "\"wall_ticks\": " << _summary.wallTicks << ",\n";
-    os << in1 << "\"breakdown\": ";
-    breakdown(_summary.catTicks, in1);
-    os << ",\n";
+    // The top pages only, to keep the JSON bounded.
+    auto pages = pagesByWall();
+    pages.resize(std::min<std::size_t>(pages.size(), 16));
 
     const int dom = dominantPattern();
-    os << in1 << "\"dominant_pattern\": \""
-       << (dom < 0 ? "none"
-                   : sharePatternKey(static_cast<SharePattern>(dom)))
-       << "\",\n";
-
-    os << in1 << "\"patterns\": {";
-    bool first = true;
-    for (int p = 0; p < static_cast<int>(_byPattern.size()); ++p) {
-        const PatternAgg& pa = _byPattern[static_cast<std::size_t>(p)];
-        if (!pa.txns)
-            continue;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n"
-           << in2 << "\"" << sharePatternKey(static_cast<SharePattern>(p))
-           << "\": {\n";
-        os << in3 << "\"txns\": " << pa.txns << ",\n";
-        os << in3 << "\"wall_ticks\": " << pa.wallTicks << ",\n";
-        os << in3 << "\"breakdown\": ";
-        breakdown(pa.catTicks, in3);
-        os << "\n" << in2 << "}";
-    }
-    os << (first ? "" : "\n" + in1) << "},\n";
-
-    // Top pages (wall desc, va asc), capped to keep the JSON bounded.
-    std::vector<std::pair<Addr, const PageAgg*>> pages;
-    pages.reserve(_byPage.size());
-    for (const auto& [va, pg] : _byPage)
-        pages.emplace_back(va, &pg);
-    std::sort(pages.begin(), pages.end(),
-              [](const auto& a, const auto& b) {
-                  if (a.second->wallTicks != b.second->wallTicks)
-                      return a.second->wallTicks > b.second->wallTicks;
-                  return a.first < b.first;
-              });
-    const std::size_t keep = std::min<std::size_t>(pages.size(), 16);
-    os << in1 << "\"pages\": [";
-    for (std::size_t i = 0; i < keep; ++i) {
-        if (i)
-            os << ",";
-        os << "\n" << in2 << "{\n";
-        os << in3 << "\"va\": " << pages[i].first << ",\n";
-        os << in3 << "\"txns\": " << pages[i].second->txns << ",\n";
-        os << in3 << "\"wall_ticks\": " << pages[i].second->wallTicks
-           << ",\n";
-        os << in3 << "\"breakdown\": ";
-        breakdown(pages[i].second->catTicks, in3);
-        os << "\n" << in2 << "}";
-    }
-    os << (keep ? "\n" + in1 : "") << "]\n";
-    os << in << "}";
+    w.object(JsonWriter::Block, [&] {
+        w.field("opened", _summary.opened);
+        w.field("completed", _summary.completed);
+        w.field("retx_txns", _summary.retxTxns);
+        w.field("sup_arrivals", _summary.supArrivals);
+        w.field("wall_ticks", _summary.wallTicks);
+        breakdown(_summary.catTicks);
+        w.field("dominant_pattern",
+                dom < 0 ? "none"
+                        : sharePatternKey(static_cast<SharePattern>(dom)));
+        w.key("patterns").object(JsonWriter::Block, [&] {
+            for (std::size_t p = 0; p < _byPattern.size(); ++p) {
+                const PatternAgg& pa = _byPattern[p];
+                if (!pa.txns)
+                    continue;
+                w.key(sharePatternKey(static_cast<SharePattern>(p)))
+                    .object(JsonWriter::Block, [&] {
+                        w.field("txns", pa.txns);
+                        w.field("wall_ticks", pa.wallTicks);
+                        breakdown(pa.catTicks);
+                    });
+            }
+        });
+        w.key("pages").array(JsonWriter::Block, [&] {
+            for (const auto& [va, pg] : pages) {
+                w.object(JsonWriter::Block, [&] {
+                    w.field("va", va);
+                    w.field("txns", pg->txns);
+                    w.field("wall_ticks", pg->wallTicks);
+                    breakdown(pg->catTicks);
+                });
+            }
+        });
+    });
 }
 
 } // namespace tt

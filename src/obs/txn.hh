@@ -140,11 +140,8 @@ class TxnTracer
     /** Deterministic human report (the --trace-critical output). */
     void writeReport(std::ostream& os) const;
 
-    /**
-     * The "transactions" object for --stats-json / campaign JSON:
-     * a single JSON value (object), no trailing newline.
-     */
-    void writeJson(std::ostream& os, int indent = 0) const;
+    /** The --trace-critical=FILE JSON document. */
+    void writeJson(std::ostream& os) const;
 
   private:
     struct HandlerSpan
@@ -201,6 +198,9 @@ class TxnTracer
     };
 
     void partition(const Txn& t, Result& out) const;
+
+    /** Every page by attributed wall time (desc), then va (asc). */
+    std::vector<std::pair<Addr, const PageAgg*>> pagesByWall() const;
 
     int _nodes;
     TxnParams _p;

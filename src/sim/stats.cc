@@ -1,8 +1,8 @@
 #include "sim/stats.hh"
 
-#include <cstdio>
-#include <fstream>
 #include <iomanip>
+
+#include "sim/json.hh"
 
 namespace tt
 {
@@ -25,103 +25,38 @@ StatSet::dump(std::ostream& os) const
     }
 }
 
-namespace
-{
-
-void
-jsonString(std::ostream& os, const std::string& s)
-{
-    os << '"';
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            os << '\\';
-        os << ch;
-    }
-    os << '"';
-}
-
-void
-jsonNumber(std::ostream& os, double v)
-{
-    // JSON has no NaN/Infinity literals; "%.17g" would print "nan" or
-    // "inf" and corrupt the document. Emit null so consumers see a
-    // well-formed value they can test for.
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
-}
-
-void
-jsonAverageBody(std::ostream& os, const Average& a)
-{
-    os << "{\"mean\": ";
-    jsonNumber(os, a.mean());
-    os << ", \"count\": " << a.count();
-    os << ", \"min\": ";
-    jsonNumber(os, a.min());
-    os << ", \"max\": ";
-    jsonNumber(os, a.max());
-    os << ", \"variance\": ";
-    jsonNumber(os, a.variance());
-    os << ", \"stddev\": ";
-    jsonNumber(os, a.stddev());
-    os << "}";
-}
-
-} // namespace
-
 void
 StatSet::writeJson(std::ostream& os) const
 {
-    os << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto& [name, c] : _counters) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        jsonString(os, name);
-        os << ": " << c.value();
-    }
-    os << (first ? "}" : "\n  }") << ",\n  \"averages\": {";
-    first = true;
-    for (const auto& [name, a] : _averages) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        jsonString(os, name);
-        os << ": ";
-        jsonAverageBody(os, a);
-    }
-    os << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
-    first = true;
-    for (const auto& [name, h] : _histograms) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        jsonString(os, name);
-        os << ": {\"width\": ";
-        jsonNumber(os, h.width());
-        os << ", \"buckets\": [";
-        for (std::size_t i = 0; i < h.buckets().size(); ++i)
-            os << (i ? ", " : "") << h.buckets()[i];
-        os << "], \"underflow\": " << h.underflow();
-        os << ", \"overflow\": " << h.overflow();
-        os << ", \"summary\": ";
-        jsonAverageBody(os, h.summary());
-        os << "}";
-    }
-    os << (first ? "}" : "\n  }") << "\n}\n";
-}
-
-bool
-StatSet::writeJsonFile(const std::string& path) const
-{
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    writeJson(f);
-    return f.good();
+    JsonWriter w(os);
+    auto average = [&w](const Average& a) {
+        w.field("mean", a.mean());
+        w.field("count", a.count());
+        w.field("min", a.min());
+        w.field("max", a.max());
+        w.field("variance", a.variance());
+        w.field("stddev", a.stddev());
+    };
+    w.object(JsonWriter::Block, [&] {
+        w.key("counters").object(JsonWriter::Block, [&] {
+            for (const auto& [name, c] : _counters)
+                w.field(name, c.value());
+        });
+        w.key("averages").object(JsonWriter::Block, [&] {
+            for (const auto& [name, a] : _averages)
+                w.key(name).object(JsonWriter::Inline,
+                                   [&] { average(a); });
+        });
+        w.key("histograms").object(JsonWriter::Block, [&] {
+            for (const auto& [name, h] : _histograms) {
+                w.key(name).object(JsonWriter::Inline, [&] {
+                    w.histogramFields(h);
+                    w.key("summary").object(JsonWriter::Inline,
+                                            [&] { average(h.summary()); });
+                });
+            }
+        });
+    });
 }
 
 void

@@ -262,7 +262,6 @@ class StatSet
      * bucket array, and underflow/overflow counts.
      */
     void writeJson(std::ostream& os) const;
-    bool writeJsonFile(const std::string& path) const;
 
     const std::map<std::string, Counter>& counters() const
     {

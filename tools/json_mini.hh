@@ -5,14 +5,17 @@
  * to read the simulator's own JSON output without external
  * dependencies.
  * Numbers are doubles; `null` is a first-class kind because the
- * stats exporter emits it for non-finite values.
+ * exporters emit it for non-finite values. `\uXXXX` escapes decode
+ * to UTF-8.
  */
 
 #ifndef TT_TOOLS_JSON_MINI_HH
 #define TT_TOOLS_JSON_MINI_HH
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -181,15 +184,10 @@ class JsonParser
                   case 'b': c = '\b'; break;
                   case 'f': c = '\f'; break;
                   case 'u':
-                    // The exporters never emit \u escapes; accept
-                    // and pass the raw sequence through.
-                    if (_pos + 4 > _s.size()) {
-                        err = at("truncated \\u escape");
+                    // The exporters write control bytes as \u00XX;
+                    // decode any \uXXXX (or surrogate pair) to UTF-8.
+                    if (!unicodeEscape(out, err))
                         return false;
-                    }
-                    out += "\\u";
-                    out += _s.substr(_pos, 4);
-                    _pos += 4;
                     continue;
                   default:
                     err = at("bad escape character");
@@ -203,6 +201,51 @@ class JsonParser
             return false;
         }
         ++_pos; // closing quote
+        return true;
+    }
+
+    bool hex4(unsigned& cp, std::string& err)
+    {
+        for (std::size_t i = _pos; i < _pos + 4; ++i) {
+            if (i >= _s.size() ||
+                !std::isxdigit(static_cast<unsigned char>(_s[i]))) {
+                err = at("bad \\u escape");
+                return false;
+            }
+        }
+        cp = static_cast<unsigned>(
+            std::stoul(_s.substr(_pos, 4), nullptr, 16));
+        _pos += 4;
+        return true;
+    }
+
+    /** The rest of a \u escape (after "\u"), appended as UTF-8. */
+    bool unicodeEscape(std::string& out, std::string& err)
+    {
+        unsigned cp = 0;
+        if (!hex4(cp, err))
+            return false;
+        if (cp >= 0xD800 && cp < 0xDC00 &&
+            _s.compare(_pos, 2, "\\u") == 0) {
+            const std::size_t save = _pos;
+            _pos += 2;
+            unsigned lo = 0;
+            if (!hex4(lo, err))
+                return false;
+            if (lo >= 0xDC00 && lo < 0xE000)
+                cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            else
+                _pos = save; // not a pair: decode the two separately
+        }
+        // UTF-8: a lead byte tagged with the length, then `tail`
+        // 6-bit continuation bytes.
+        int tail = 0;
+        for (const unsigned limit : {0x80u, 0x800u, 0x10000u})
+            tail += cp >= limit;
+        const unsigned lead[] = {0x00, 0xC0, 0xE0, 0xF0};
+        out += static_cast<char>(lead[tail] | (cp >> (6 * tail)));
+        for (int i = tail - 1; i >= 0; --i)
+            out += static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3F));
         return true;
     }
 
@@ -285,6 +328,31 @@ class JsonParser
     const std::string& _s;
     std::size_t _pos = 0;
 };
+
+/**
+ * Read and parse the JSON file at @p path into @p out. Returns 0, or
+ * 2 after "<tool>: cannot open <path>" or 1 after "<path>: JSON parse
+ * error: ..." on stderr.
+ */
+inline int
+parseFile(const char* tool, const char* path, JsonValue& out)
+{
+    std::ifstream f(path);
+    if (!f) {
+        std::fprintf(stderr, "%s: cannot open %s\n", tool, path);
+        return 2;
+    }
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    const std::string text = buf.str();
+    std::string err;
+    if (!JsonParser(text).parse(out, err)) {
+        std::fprintf(stderr, "%s: JSON parse error: %s\n", path,
+                     err.c_str());
+        return 1;
+    }
+    return 0;
+}
 
 } // namespace jmini
 

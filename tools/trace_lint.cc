@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -34,7 +33,6 @@
 
 #include "json_mini.hh"
 
-using jmini::JsonParser;
 using jmini::JsonValue;
 
 namespace
@@ -81,22 +79,9 @@ struct FlowState
 int
 lintFile(const char* path)
 {
-    std::ifstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "trace_lint: cannot open %s\n", path);
-        return 2;
-    }
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    const std::string text = buf.str();
-
     JsonValue root;
-    std::string err;
-    if (!JsonParser(text).parse(root, err)) {
-        std::fprintf(stderr, "%s: JSON parse error: %s\n", path,
-                     err.c_str());
-        return 1;
-    }
+    if (const int rc = jmini::parseFile("trace_lint", path, root))
+        return rc;
     if (root.kind != JsonValue::Kind::Object) {
         std::fprintf(stderr, "%s: top level is not an object\n", path);
         return 1;

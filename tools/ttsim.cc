@@ -19,11 +19,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <stdexcept>
 #include <string>
-
-#include <fstream>
 
 #include "apps/workloads.hh"
 #include "config/bench_harness.hh"
@@ -31,6 +30,7 @@
 #include "config/campaign.hh"
 #include "obs/sharing.hh"
 #include "obs/txn.hh"
+#include "sim/json.hh"
 
 using namespace tt;
 
@@ -458,6 +458,17 @@ configKey(const Options& o)
     return k;
 }
 
+/** Write one JSON output file; on failure say so and return false. */
+bool
+writeOutput(const std::string& path,
+            const std::function<void(std::ostream&)>& write)
+{
+    if (writeJsonFile(path, write))
+        return true;
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+}
+
 int
 runTtsim(int argc, char** argv)
 {
@@ -624,11 +635,9 @@ runTtsim(int argc, char** argv)
             static_cast<unsigned long long>(
                 rep.countOutcome("unrecoverable")));
         if (!o.campaignJson.empty()) {
-            if (!rep.writeJsonFile(o.campaignJson)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             o.campaignJson.c_str());
+            if (!writeOutput(o.campaignJson,
+                             [&](std::ostream& os) { rep.writeJson(os); }))
                 return 1;
-            }
             std::printf("campaign json  : %s\n", o.campaignJson.c_str());
         }
         if (rep.countOutcome("violation"))
@@ -706,6 +715,9 @@ runTtsim(int argc, char** argv)
         tt_fatal("--checkpoint requires an epoch-restartable app "
                  "(em3d)");
 
+    auto writeStats = [&](std::ostream& os) {
+        target.m().stats().writeJson(os);
+    };
     if (target.telemetry)
         target.telemetry->runBegin();
     const auto t0 = std::chrono::steady_clock::now();
@@ -716,15 +728,13 @@ runTtsim(int argc, char** argv)
         std::fprintf(stderr, "ttsim: %s\n", e.what());
         if (target.recovery)
             target.recovery->finalizeStats();
-        if (!o.statsJson.empty() &&
-            target.m().stats().writeJsonFile(o.statsJson))
+        if (!o.statsJson.empty() && writeOutput(o.statsJson, writeStats))
             std::printf("stats json     : %s\n", o.statsJson.c_str());
         return 5;
     } catch (const WatchdogTimeout& e) {
         // The on-trip hook already dumped the flight-recorder tail.
         std::fprintf(stderr, "ttsim: %s\n", e.what());
-        if (!o.statsJson.empty() &&
-            target.m().stats().writeJsonFile(o.statsJson))
+        if (!o.statsJson.empty() && writeOutput(o.statsJson, writeStats))
             std::printf("stats json     : %s\n", o.statsJson.c_str());
         return 4;
     }
@@ -773,20 +783,24 @@ runTtsim(int argc, char** argv)
 
     if (target.obs) {
         target.obs->finalize();
-        if (!o.traceFile.empty())
+        if (!o.traceFile.empty()) {
+            if (!target.obs->traceOk()) {
+                std::fprintf(stderr, "cannot write %s\n",
+                             o.traceFile.c_str());
+                return 1;
+            }
             std::printf("trace          : %s (%llu records)\n",
                         o.traceFile.c_str(),
                         static_cast<unsigned long long>(
                             target.obs->recordCount()));
+        }
         if (o.analyze && target.obs->sharing()) {
             const SharingAnalyzer& sa = *target.obs->sharing();
             sa.writeReport(std::cout);
             if (!o.analyzeJson.empty()) {
-                if (!sa.writeJsonFile(o.analyzeJson)) {
-                    std::fprintf(stderr, "cannot write %s\n",
-                                 o.analyzeJson.c_str());
+                if (!writeOutput(o.analyzeJson,
+                                 [&](std::ostream& os) { sa.writeJson(os); }))
                     return 1;
-                }
                 std::printf("analysis json  : %s\n",
                             o.analyzeJson.c_str());
             }
@@ -795,14 +809,9 @@ runTtsim(int argc, char** argv)
             const TxnTracer& tx = *target.obs->txn();
             tx.writeReport(std::cout);
             if (!o.txnJson.empty()) {
-                std::ofstream jf(o.txnJson);
-                if (jf)
-                    tx.writeJson(jf);
-                if (!jf) {
-                    std::fprintf(stderr, "cannot write %s\n",
-                                 o.txnJson.c_str());
+                if (!writeOutput(o.txnJson,
+                                 [&](std::ostream& os) { tx.writeJson(os); }))
                     return 1;
-                }
                 std::printf("critical json  : %s\n", o.txnJson.c_str());
             }
         }
@@ -814,11 +823,10 @@ runTtsim(int argc, char** argv)
         target.telemetry->finalize();
         target.telemetry->printSummary(std::cout);
         if (!o.telemetryJson.empty()) {
-            if (!target.telemetry->writeReportFile(o.telemetryJson)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             o.telemetryJson.c_str());
+            if (!writeOutput(o.telemetryJson, [&](std::ostream& os) {
+                    target.telemetry->writeReport(os);
+                }))
                 return 1;
-            }
             std::printf("telemetry json : %s\n",
                         o.telemetryJson.c_str());
         }
@@ -830,11 +838,8 @@ runTtsim(int argc, char** argv)
     }
 
     if (!o.statsJson.empty()) {
-        if (!target.m().stats().writeJsonFile(o.statsJson)) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         o.statsJson.c_str());
+        if (!writeOutput(o.statsJson, writeStats))
             return 1;
-        }
         std::printf("stats json     : %s\n", o.statsJson.c_str());
     }
 
@@ -864,11 +869,9 @@ runTtsim(int argc, char** argv)
         c.netMessages = target.m().stats().get("net.messages");
         c.netWords = target.m().stats().get("net.words");
         rep.cases.push_back(std::move(c));
-        if (!rep.writeJsonFile(o.benchJson)) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         o.benchJson.c_str());
+        if (!writeOutput(o.benchJson,
+                         [&](std::ostream& os) { rep.writeJson(os); }))
             return 1;
-        }
         std::printf("bench report   : %s (%.0f events/sec)\n",
                     o.benchJson.c_str(), rep.eventsPerSec());
     }
