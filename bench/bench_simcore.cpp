@@ -110,9 +110,8 @@ main()
     }
 
     // The same grid again with the flight recorder attached (rings +
-    // miss-latency profiler + trace stream to a scratch file): the
-    // --trace overhead. Again, simulated results must be bit-identical
-    // to the trace-off pass.
+    // trace stream to a scratch file): the --trace overhead. Again,
+    // simulated results must be bit-identical to the trace-off pass.
     std::printf("\ntrace-on pass:\n");
     {
         MachineConfig tcfg = cfg;

@@ -64,13 +64,6 @@ struct TyphoonParams
      * snooping the bus. See bench/ablation_sw_tempest.
      */
     Tick swCheckCost = 0;
-
-    /**
-     * Protocol trace: keep the last N NP events (handler
-     * activations, faults, resumes, bulk packets) in a ring buffer
-     * for debugging and sequence-asserting tests. 0 (default) = off.
-     */
-    std::size_t traceCapacity = 0;
 };
 
 } // namespace tt

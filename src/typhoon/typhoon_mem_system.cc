@@ -489,7 +489,6 @@ TyphoonMemSystem::deliverPageFault(NodeId id, MemRequest* req,
         const Tick start2 = _m.eq().now();
         NpCtx ctx(*this, id, start2);
         n.pageFaultHandler(ctx, req->vaddr, req->op);
-        traceEvent(id, TraceEvent::Kind::PageFault, 0, ctx.charged());
         if (_obs)
             _obs->handlerDone(id, ActKind::Page, 0, 0, start2,
                               ctx.charged());
@@ -560,18 +559,6 @@ TyphoonMemSystem::retryAccess(NodeId id, Tick when)
 // NP engine
 // ---------------------------------------------------------------------
 
-void
-TyphoonMemSystem::traceEvent(NodeId node, TraceEvent::Kind kind,
-                             std::uint32_t id, Tick charged)
-{
-    if (_p.traceCapacity == 0)
-        return;
-    if (_trace.size() >= _p.traceCapacity)
-        _trace.pop_front();
-    _trace.push_back(
-        TraceEvent{_m.eq().now(), node, kind, id, charged});
-}
-
 Average&
 TyphoonMemSystem::handlerAverage(bool baf, HandlerId h)
 {
@@ -607,7 +594,6 @@ TyphoonMemSystem::footprintBytes() const
         b += n.msgHandlers.size() *
              (sizeof(HandlerId) + sizeof(MsgHandler));
     }
-    b += _trace.size() * sizeof(TraceEvent);
     return b;
 }
 
@@ -679,8 +665,6 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
             _obs->beginAct(id, msg.txn);
         }
         it->second(ctx, msg);
-        traceEvent(id, TraceEvent::Kind::MsgHandler, msg.handler,
-                   ctx.charged());
         if (_obs) {
             _obs->handlerDone(id, ActKind::Msg, msg.handler, msg.obsId,
                               when, ctx.charged());
@@ -695,8 +679,6 @@ TyphoonMemSystem::npPump(NodeId id, Tick when)
                   " at node ", id);
         _cNpBafHandled.inc();
         n.faultHandlers[key](ctx, baf->fault);
-        traceEvent(id, TraceEvent::Kind::FaultHandler,
-                   baf->fault.mode, ctx.charged());
         if (_obs)
             _obs->handlerDone(id, ActKind::Baf, baf->fault.mode, 0,
                               when, ctx.charged());
@@ -749,8 +731,6 @@ TyphoonMemSystem::npRunBulkStep(NodeId id, Tick start)
     }
     _net.send(std::move(m), start + _p.bulkPacketCost);
     _cNpBulkPackets.inc();
-    traceEvent(id, TraceEvent::Kind::BulkPacket, chunk,
-               _p.bulkPacketCost);
     if (_obs)
         _obs->bulkPacket(id, chunk, start, _p.bulkPacketCost);
 
@@ -965,8 +945,6 @@ NpCtx::resume()
 {
     charge(static_cast<std::uint32_t>(_ms._p.resumeCost));
     _ms._cNpResumes.inc();
-    _ms.traceEvent(_node, TyphoonMemSystem::TraceEvent::Kind::Resume,
-                   0, _t);
     if (_ms._obs)
         _ms._obs->resume(_node, _start + _t);
     _ms.retryAccess(_node, _start + _t);

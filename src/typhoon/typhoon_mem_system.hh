@@ -149,27 +149,6 @@ class TyphoonMemSystem : public MemorySystem
     AccessTag tagOf(NodeId n, Addr va) const;
     bool npIdle(NodeId n) const;
 
-    /** One protocol trace record (enabled via traceCapacity). */
-    struct TraceEvent
-    {
-        enum class Kind : std::uint8_t
-        {
-            MsgHandler,  ///< active-message handler ran; id = handler
-            FaultHandler,///< BAF handler ran; id = fault mode
-            PageFault,   ///< page-fault handler ran on the CPU
-            Resume,      ///< the suspended thread was restarted
-            BulkPacket,  ///< bulk engine injected a packet
-        };
-        Tick tick = 0;
-        NodeId node = kNoNode;
-        Kind kind = Kind::MsgHandler;
-        std::uint32_t id = 0;
-        Tick charged = 0;
-    };
-
-    /** The trace ring (oldest first). Empty unless traceCapacity>0. */
-    const std::deque<TraceEvent>& trace() const { return _trace; }
-    void clearTrace() { _trace.clear(); }
     /** True iff all NPs are idle with empty queues and no BAF. */
     bool quiescent() const override;
     const TyphoonParams& params() const { return _p; }
@@ -194,7 +173,7 @@ class TyphoonMemSystem : public MemorySystem
     /**
      * Resident bytes of the mechanism state (telemetry memory probe):
      * per-node timing models, physical memory backing, page tables,
-     * tag blocks, NP queues, and the protocol trace ring.
+     * tag blocks, and NP queues.
      */
     std::size_t footprintBytes() const;
 
@@ -306,9 +285,6 @@ class TyphoonMemSystem : public MemorySystem
     AccessTag blockTag(NodeId node, PAddr pa) const;
     void setBlockTag(NodeId node, PAddr pa, AccessTag t);
 
-    void traceEvent(NodeId node, TraceEvent::Kind kind,
-                    std::uint32_t id, Tick charged);
-
     /** Cached per-handler Average (only when perHandlerStats). */
     Average& handlerAverage(bool baf, HandlerId h);
 
@@ -323,7 +299,6 @@ class TyphoonMemSystem : public MemorySystem
     HostTimer* _telem = nullptr;    ///< self-telemetry timer, opt-in
     std::vector<Node> _nodes;
     std::vector<std::unique_ptr<Tempest>> _tempest;
-    std::deque<TraceEvent> _trace;
 
     /**
      * Post-setup canonical extents, recorded by setupComplete(): the

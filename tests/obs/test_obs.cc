@@ -3,8 +3,8 @@
  * Flight-recorder tests (DESIGN.md §9): ring retention semantics,
  * causal send/deliver id pairing, trace determinism (same seed and
  * config => byte-identical Perfetto JSON on every target system),
- * zero impact of tracing on simulated results, miss-latency profiler
- * sanity, and the crash tail in failure reports.
+ * zero impact of tracing on simulated results, and the crash tail in
+ * failure reports.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "apps/workloads.hh"
 #include "config/builders.hh"
-#include "obs/profiler.hh"
 #include "tests/helpers.hh"
 
 namespace tt
@@ -217,31 +216,6 @@ TEST(ObsTrace, EveryDeliverPairsWithASend)
     EXPECT_TRUE(sent == delivered);
     // Ids are dense: the highest id equals the number of sends.
     EXPECT_EQ(*sent.rbegin(), t.obs->lastMsgId());
-}
-
-TEST(ObsProfiler, MissHistogramsAreCoherent)
-{
-    MachineConfig cfg = smallConfig();
-    cfg.obs.enable = true; // profiler on by default when obs enabled
-    TargetMachine t = buildTyphoonStache(cfg);
-    runEm3d(t, "stache");
-
-    StatSet& s = t.machine->stats();
-    const auto& total = s.histogram("obs.miss.read.total").summary();
-    ASSERT_GT(total.count(), 0u);
-    // Every closed miss samples all five histograms.
-    for (const char* part :
-         {"request", "network", "dir_occupancy", "handler"}) {
-        const auto& comp =
-            s.histogram(std::string("obs.miss.read.") + part)
-                .summary();
-        EXPECT_EQ(comp.count(), total.count()) << part;
-        // Components attribute pieces of the total; their means can
-        // never exceed it.
-        EXPECT_LE(comp.mean(), total.mean()) << part;
-    }
-    // A remote miss costs at least a network round trip.
-    EXPECT_GE(total.min(), 2 * NetworkParams{}.latency);
 }
 
 TEST(ObsCrash, ViolationReportIncludesRecorderTail)

@@ -19,6 +19,7 @@
 
 #include "apps/workloads.hh"
 #include "config/builders.hh"
+#include "obs/recorder.hh"
 #include "obs/sharing.hh"
 #include "obs/txn.hh"
 
@@ -116,6 +117,45 @@ TEST(ObsTxn, SpansCoverAllSystemsAndPartitionSumsToWall)
         EXPECT_GT(attributed, 0u)
             << system << ": request/network/directory all empty";
     }
+}
+
+TEST(ObsTxn, RemoteReadMissCostsAtLeastARoundTrip)
+{
+    TargetMachine t = buildSystem("stache", txnConfig());
+    runEm3d(t, "stache");
+    t.obs->finalize();
+    std::uint64_t reads = 0;
+    for (const TxnTracer::Result& r : t.obs->txn()->results()) {
+        if (r.write)
+            continue;
+        ++reads;
+        // A transaction opens on the faulting access and closes when
+        // it completes, so a read miss spans a request and a reply.
+        EXPECT_GE(r.wall(), 2 * NetworkParams{}.latency)
+            << "txn " << r.id;
+    }
+    EXPECT_GT(reads, 0u);
+}
+
+TEST(ObsTxn, ReFaultOnSameSuspendedAccessKeepsOneTransaction)
+{
+    StatSet stats;
+    FlightRecorder rec(2, 16);
+    rec.enableTxn(stats, 32, 4096);
+    // A BAF followed by a MissStart for the same suspended access is
+    // one miss; the MissEnd closes it and the next fault opens anew.
+    rec.blockFault(1, 0x1000, true, 0, 5);
+    rec.missStart(1, 0x1000, true, 6);
+    rec.missEnd(1, 0x1000, true, 30);
+    rec.blockFault(1, 0x2000, false, 0, 40);
+    const auto ring = rec.ringOf(1);
+    ASSERT_EQ(ring.size(), 4u);
+    EXPECT_NE(ring[0].txn, 0u);
+    EXPECT_EQ(ring[1].txn, ring[0].txn);
+    EXPECT_EQ(ring[2].txn, ring[0].txn);
+    EXPECT_NE(ring[3].txn, ring[0].txn);
+    EXPECT_EQ(rec.txnFor(1), ring[3].txn);
+    EXPECT_EQ(rec.txnFor(0), 0u);
 }
 
 TEST(ObsTxn, StatsCountersMatchSummary)

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests of the protocol trace ring: exact event sequences for the
- * canonical Stache flows, ring-capacity behaviour, and the
- * off-by-default contract.
+ * Typhoon NP activity as seen through the flight recorder: exact
+ * per-node sequences of handler activations, resumes and bulk packets
+ * for the canonical Stache flows. The recorder is attached to the
+ * rig's network and memory system the same way attachObserver does.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "obs/recorder.hh"
 #include "tests/helpers.hh"
 
 namespace tt
@@ -17,68 +19,76 @@ namespace
 {
 
 using test::StacheRig;
-using TE = TyphoonMemSystem::TraceEvent;
 
-std::vector<std::pair<TE::Kind, std::uint32_t>>
-kindsOf(const std::deque<TE>& trace)
+/** A StacheRig with a FlightRecorder on its network and Typhoon. */
+struct ObservedRig : StacheRig
 {
-    std::vector<std::pair<TE::Kind, std::uint32_t>> out;
-    for (const TE& e : trace)
-        out.emplace_back(e.kind, e.id);
-    return out;
-}
+    FlightRecorder rec;
 
-TEST(TyphoonTrace, OffByDefault)
+    explicit ObservedRig(int nodes) : StacheRig(nodes), rec(nodes)
+    {
+        net->setRecorder(&rec);
+        mem->setRecorder(&rec);
+    }
+
+    /** Node @p n's HandlerDone / Resume / BulkPacket records. */
+    std::vector<TraceRecord>
+    npActivity(NodeId n) const
+    {
+        std::vector<TraceRecord> out;
+        for (const TraceRecord& r : rec.ringOf(n)) {
+            if (r.kind == RecKind::HandlerDone ||
+                r.kind == RecKind::Resume ||
+                r.kind == RecKind::BulkPacket)
+                out.push_back(r);
+        }
+        return out;
+    }
+};
+
+void
+expectHandler(const TraceRecord& r, ActKind act, std::uint64_t id)
 {
-    StacheRig rig(2);
-    Addr a = rig.stache->shmalloc(4096, 0);
-    rig.run([&](Cpu& cpu) -> Task<void> {
-        if (cpu.id() == 1)
-            co_await cpu.read<int>(a);
-    });
-    EXPECT_TRUE(rig.mem->trace().empty());
+    EXPECT_EQ(r.kind, RecKind::HandlerDone);
+    EXPECT_EQ(r.sub, static_cast<std::uint8_t>(act));
+    EXPECT_EQ(r.addr, id);
 }
 
 TEST(TyphoonTrace, RemoteReadMissProducesTheCanonicalSequence)
 {
-    TyphoonParams tp;
-    tp.traceCapacity = 64;
-    StacheRig rig(2, CoreParams{}, tp);
+    ObservedRig rig(2);
     Addr a = rig.stache->shmalloc(4096, 0);
     rig.run([&](Cpu& cpu) -> Task<void> {
         if (cpu.id() == 1)
             co_await cpu.read<int>(a);
     });
 
-    const auto seq = kindsOf(rig.mem->trace());
-    // page fault (CPU) -> BAF handler (GetRO sent) -> home GetRO
-    // handler -> data arrival handler (which resumes).
-    ASSERT_EQ(seq.size(), 5u);
-    EXPECT_EQ(seq[0].first, TE::Kind::PageFault);
-    EXPECT_EQ(seq[1].first, TE::Kind::FaultHandler);
-    EXPECT_EQ(seq[1].second, Stache::kModeStache);
-    EXPECT_EQ(seq[2].first, TE::Kind::MsgHandler);
-    EXPECT_EQ(seq[2].second,
-              static_cast<std::uint32_t>(Stache::kGetRO));
-    EXPECT_EQ(seq[3].first, TE::Kind::Resume);
-    EXPECT_EQ(seq[4].first, TE::Kind::MsgHandler);
-    EXPECT_EQ(seq[4].second,
-              static_cast<std::uint32_t>(Stache::kDataRO));
+    // Requester: page fault (CPU) -> BAF handler (GetRO sent) -> the
+    // data arrival handler, which resumes the thread before it ends.
+    const auto req = rig.npActivity(1);
+    ASSERT_EQ(req.size(), 4u);
+    expectHandler(req[0], ActKind::Page, 0);
+    expectHandler(req[1], ActKind::Baf, Stache::kModeStache);
+    EXPECT_EQ(req[2].kind, RecKind::Resume);
+    expectHandler(req[3], ActKind::Msg, Stache::kDataRO);
+    // The resume falls inside the DataRO activation's occupancy.
+    EXPECT_GE(req[2].tick, req[3].tick);
+    EXPECT_LE(req[2].tick, req[3].tick + req[3].t2);
+    // Activations start in order.
+    EXPECT_LT(req[0].tick, req[1].tick);
+    EXPECT_LT(req[1].tick, req[3].tick);
 
-    // Ticks are monotone and nodes alternate requester/home.
-    const auto& tr = rig.mem->trace();
-    for (std::size_t i = 1; i < tr.size(); ++i)
-        EXPECT_GE(tr[i].tick, tr[i - 1].tick);
-    EXPECT_EQ(tr[0].node, 1);
-    EXPECT_EQ(tr[2].node, 0);
-    EXPECT_EQ(tr[4].node, 1);
+    // Home: the GetRO handler, between the BAF and the data arrival.
+    const auto home = rig.npActivity(0);
+    ASSERT_EQ(home.size(), 1u);
+    expectHandler(home[0], ActKind::Msg, Stache::kGetRO);
+    EXPECT_GT(home[0].tick, req[1].tick);
+    EXPECT_LT(home[0].tick, req[3].tick);
 }
 
 TEST(TyphoonTrace, WriteAfterReadShowsUpgradeFlow)
 {
-    TyphoonParams tp;
-    tp.traceCapacity = 64;
-    StacheRig rig(2, CoreParams{}, tp);
+    ObservedRig rig(2);
     Addr a = rig.stache->shmalloc(4096, 0);
     rig.run([&](Cpu& cpu) -> Task<void> {
         if (cpu.id() == 1) {
@@ -86,51 +96,43 @@ TEST(TyphoonTrace, WriteAfterReadShowsUpgradeFlow)
             co_await cpu.write<int>(a, 9);
         }
     });
-    // The tail must be: BAF(write) -> home GetRW -> DataRW arrival.
-    const auto seq = kindsOf(rig.mem->trace());
-    ASSERT_GE(seq.size(), 3u);
-    const auto n = seq.size();
-    EXPECT_EQ(seq[n - 3].second,
-              static_cast<std::uint32_t>(Stache::kGetRW));
-    EXPECT_EQ(seq[n - 1].second,
-              static_cast<std::uint32_t>(Stache::kDataRW));
-}
+    // The requester's tail: BAF(write) -> resume -> DataRW arrival;
+    // the home's last activation is the GetRW between them.
+    const auto req = rig.npActivity(1);
+    ASSERT_GE(req.size(), 3u);
+    const auto n = req.size();
+    expectHandler(req[n - 3], ActKind::Baf, Stache::kModeStache);
+    EXPECT_EQ(req[n - 2].kind, RecKind::Resume);
+    expectHandler(req[n - 1], ActKind::Msg, Stache::kDataRW);
 
-TEST(TyphoonTrace, RingDropsOldestBeyondCapacity)
-{
-    TyphoonParams tp;
-    tp.traceCapacity = 8;
-    StacheRig rig(2, CoreParams{}, tp);
-    Addr a = rig.stache->shmalloc(16 * 4096, 0);
-    rig.run([&](Cpu& cpu) -> Task<void> {
-        if (cpu.id() != 1)
-            co_return;
-        for (int p = 0; p < 16; ++p)
-            co_await cpu.read<int>(a + p * 4096);
-    });
-    EXPECT_EQ(rig.mem->trace().size(), 8u);
-    // The survivors are the most recent events.
-    const Tick lastTick = rig.mem->trace().back().tick;
-    EXPECT_GT(lastTick, rig.mem->trace().front().tick);
-    rig.mem->clearTrace();
-    EXPECT_TRUE(rig.mem->trace().empty());
+    const auto home = rig.npActivity(0);
+    ASSERT_FALSE(home.empty());
+    expectHandler(home.back(), ActKind::Msg, Stache::kGetRW);
+    EXPECT_GT(home.back().tick, req[n - 3].tick);
+    EXPECT_LT(home.back().tick, req[n - 1].tick);
 }
 
 TEST(TyphoonTrace, BulkPacketsAreTraced)
 {
-    TyphoonParams tp;
-    tp.traceCapacity = 128;
-    StacheRig rig(2, CoreParams{}, tp);
+    ObservedRig rig(2);
     Addr src = rig.stache->shmalloc(4096, 0);
     Addr dst = rig.stache->shmalloc(4096, 1);
     rig.mem->tempest(0).setupCtx().bulkTransfer(src, 1, dst, 256, 0);
     rig.run([&](Cpu& cpu) -> Task<void> {
         co_await cpu.compute(10000);
     });
+    std::uint32_t bytes = 0;
     int bulk = 0;
-    for (const TE& e : rig.mem->trace())
-        bulk += e.kind == TE::Kind::BulkPacket;
+    for (const TraceRecord& r : rig.npActivity(0)) {
+        if (r.kind != RecKind::BulkPacket)
+            continue;
+        ++bulk;
+        bytes += r.arg;
+    }
     EXPECT_EQ(bulk, 4); // 256 bytes / 64-byte chunks
+    EXPECT_EQ(bytes, 256u);
+    for (const TraceRecord& r : rig.npActivity(1))
+        EXPECT_NE(r.kind, RecKind::BulkPacket);
 }
 
 } // namespace

@@ -16,11 +16,10 @@
 #      (--campaign=25 --check per protocol over a lossy fabric):
 #      always-on checking is cheap enough now (DESIGN.md §13) that
 #      every campaign run validates the full invariant catalog.
-#   5. A --trace smoke grid: every protocol writes a Perfetto trace
-#      and a JSON stats dump; both must parse as JSON
-#      (python3 -m json.tool), every delivered message id must
-#      pair with a sent id, and tools/trace_lint must accept every
-#      exported trace (schema, span balance, flow well-formedness).
+#   5. A --trace smoke grid: in every protocol's Perfetto trace,
+#      every delivered message id must pair with a sent id (the
+#      trace_lint and stats_lint passes over the same runs are the
+#      trace_lint_* / stats_lint_trace_* ctests of steps 1 and 2).
 #   6. A --faults smoke grid: a small fault campaign per protocol over
 #      a lossy fabric (drop+dup+reorder) with the sanitizer on must
 #      come back all-ok with real faults injected and repaired, and
@@ -165,10 +164,7 @@ trap 'rm -rf "$TRACEDIR"' EXIT
 for sys in dirnnb stache migratory update; do
     echo "--- $sys/em3d --trace"
     "$TTSIM" --system="$sys" --app=em3d --dataset=tiny --nodes=8 \
-        --scale=4 --trace="$TRACEDIR/$sys.json" \
-        --stats-json="$TRACEDIR/$sys.stats.json" >/dev/null
-    python3 -m json.tool "$TRACEDIR/$sys.json" >/dev/null
-    python3 -m json.tool "$TRACEDIR/$sys.stats.json" >/dev/null
+        --scale=4 --trace="$TRACEDIR/$sys.json" >/dev/null
     python3 - "$TRACEDIR/$sys.json" <<'EOF'
 import json, sys
 ev = json.load(open(sys.argv[1]))["traceEvents"]
@@ -181,10 +177,6 @@ assert delivers == sends, (
     f"unpaired causal ids: {len(delivers ^ sends)}")
 EOF
 done
-# The standalone validator over the whole smoke grid's exports.
-TRACE_LINT=build/tools/trace_lint
-"$TRACE_LINT" "$TRACEDIR"/dirnnb.json "$TRACEDIR"/stache.json \
-    "$TRACEDIR"/migratory.json "$TRACEDIR"/update.json
 
 # --- 6. Fault-injection smoke grid ------------------------------------------
 step "fault campaign: --faults --campaign smoke grid"
@@ -273,7 +265,7 @@ grep -q "producer-consumer: .* txns" "$TRACEDIR/em3d.txn.txt"
     > "$TRACEDIR/txn.faults.txt"
 grep -qE "transactions: .* [1-9][0-9]* retransmit-affected" \
     "$TRACEDIR/txn.faults.txt"
-"$TRACE_LINT" "$TRACEDIR/txn.faults.json"
+build/tools/trace_lint "$TRACEDIR/txn.faults.json"
 echo "--- transaction tracer: all four systems, golden + faults OK"
 
 # --- 8. Crash recovery + checkpoint/restart ---------------------------------

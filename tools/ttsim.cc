@@ -15,14 +15,17 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "apps/workloads.hh"
 #include "config/bench_harness.hh"
@@ -100,20 +103,21 @@ usage()
         " stache)\n"
         "  --app=appbt|barnes|mp3d|ocean|em3d        workload\n"
         "  --dataset=tiny|small|large                Table 3 size\n"
-        "  --nodes=N         processing nodes (default 32)\n"
-        "  --cache-kb=N      CPU cache size in KB (default 256)\n"
-        "  --block=N         coherence block bytes (default 32)\n"
+        "  --nodes=N         processing nodes, 1..4096 (default 32)\n"
+        "  --cache-kb=N      CPU cache KB, a power of two (default 256)\n"
+        "  --block=N         block bytes, a power of two 8..4096"
+        " (default 32)\n"
         "  --scale=N         divide problem size by N (default 1)\n"
         "  --net-latency=N   network latency cycles (default 11)\n"
         "  --quantum=N       local-time window (default 32)\n"
-        "  --remote=PCT      EM3D remote-edge percent (default 20)\n"
+        "  --remote=PCT      EM3D remote-edge percent 0..100 (default 20)\n"
         "  --seed=N          machine RNG seed\n"
         "  --bench-json=F    write a wall-clock benchmark report"
         " (events/sec) to F\n"
         "  --trace=F         stream a Perfetto/Chrome trace to F"
         " (open at ui.perfetto.dev)\n"
         "  --trace-sample=N  also sample every counter each N ticks"
-        " into the trace\n"
+        " into the --trace file\n"
         "  --trace-ring=N    crash-ring capacity per node"
         " (default 256)\n"
         "  --stats-json=F    write the full statistics set to F as"
@@ -180,6 +184,31 @@ usage()
         "  --list            list workloads and exit\n");
 }
 
+/**
+ * The value of numeric flag @p key: the whole of @p v as a decimal
+ * number in [lo, hi]. Anything else is a usage error: say what the
+ * flag wants and exit 2.
+ */
+template <typename T>
+T
+numArg(const char* key, const std::string& v, T lo,
+       T hi = std::numeric_limits<T>::max())
+{
+    const char* e = v.data() + v.size();
+    T x{};
+    const auto [end, ec] = std::from_chars(v.data(), e, x);
+    if (ec == std::errc{} && end == e && x >= lo && x <= hi)
+        return x;
+    std::cerr << "ttsim: " << key << " wants "
+              << (std::is_integral_v<T> ? "an integer" : "a number");
+    if (hi == std::numeric_limits<T>::max())
+        std::cerr << " >= " << lo;
+    else
+        std::cerr << " in " << lo << ".." << hi;
+    std::cerr << ", got '" << v << "'\n";
+    std::exit(2);
+}
+
 bool
 parseArg(Options& o, const std::string& arg)
 {
@@ -199,29 +228,29 @@ parseArg(Options& o, const std::string& arg)
     } else if (eat("--dataset=", &v)) {
         o.dataset = v;
     } else if (eat("--nodes=", &v)) {
-        o.nodes = std::atoi(v.c_str());
+        o.nodes = numArg("--nodes", v, 1, 4096);
     } else if (eat("--cache-kb=", &v)) {
-        o.cacheKb = std::atoi(v.c_str());
+        o.cacheKb = numArg("--cache-kb", v, 1, 1 << 20);
     } else if (eat("--block=", &v)) {
-        o.blockSize = std::atoi(v.c_str());
+        o.blockSize = numArg("--block", v, 8, 4096); // <= a page
     } else if (eat("--scale=", &v)) {
-        o.scale = std::atoi(v.c_str());
+        o.scale = numArg("--scale", v, 1);
     } else if (eat("--net-latency=", &v)) {
-        o.netLatency = std::atoi(v.c_str());
+        o.netLatency = numArg("--net-latency", v, 0);
     } else if (eat("--quantum=", &v)) {
-        o.quantum = std::atoi(v.c_str());
+        o.quantum = numArg("--quantum", v, 0);
     } else if (eat("--remote=", &v)) {
-        o.remotePct = std::atof(v.c_str());
+        o.remotePct = numArg("--remote", v, 0.0, 100.0);
     } else if (eat("--seed=", &v)) {
-        o.seed = std::strtoull(v.c_str(), nullptr, 0);
+        o.seed = numArg<std::uint64_t>("--seed", v, 0);
     } else if (eat("--bench-json=", &v)) {
         o.benchJson = v;
     } else if (eat("--trace=", &v)) {
         o.traceFile = v;
     } else if (eat("--trace-sample=", &v)) {
-        o.traceSample = std::strtoull(v.c_str(), nullptr, 0);
+        o.traceSample = numArg<Tick>("--trace-sample", v, 1);
     } else if (eat("--trace-ring=", &v)) {
-        o.traceRing = std::atoi(v.c_str());
+        o.traceRing = numArg("--trace-ring", v, 1);
     } else if (eat("--stats-json=", &v)) {
         o.statsJson = v;
     } else if (eat("--analyze=", &v)) {
@@ -244,20 +273,20 @@ parseArg(Options& o, const std::string& arg)
     } else if (eat("--perturb=", &v)) {
         o.perturb = true;
         o.check = true;
-        o.perturbSeed = std::strtoull(v.c_str(), nullptr, 0);
+        o.perturbSeed = numArg<std::uint64_t>("--perturb", v, 0);
     } else if (eat("--jitter=", &v)) {
-        o.jitter = std::atoi(v.c_str());
+        o.jitter = numArg("--jitter", v, 0);
         o.jitterSet = true;
     } else if (eat("--faults=", &v)) {
         o.faults = v;
     } else if (eat("--horizon=", &v)) {
-        o.horizon = std::strtoull(v.c_str(), nullptr, 0);
+        o.horizon = numArg<Tick>("--horizon", v, 1);
     } else if (eat("--rto=", &v)) {
-        o.rto = std::strtoull(v.c_str(), nullptr, 0);
+        o.rto = numArg<Tick>("--rto", v, 1);
     } else if (eat("--retries=", &v)) {
-        o.retries = std::atoi(v.c_str());
+        o.retries = numArg("--retries", v, 1);
     } else if (eat("--campaign=", &v)) {
-        o.campaign = std::atoi(v.c_str());
+        o.campaign = numArg("--campaign", v, 1);
     } else if (eat("--campaign-json=", &v)) {
         o.campaignJson = v;
     } else if (eat("--campaign-shard=", &v)) {
@@ -268,21 +297,16 @@ parseArg(Options& o, const std::string& arg)
                          v.c_str());
             std::exit(2);
         }
-        o.shardIndex = std::atoi(v.c_str());
-        o.shardCount = std::atoi(v.c_str() + slash + 1);
+        o.shardIndex =
+            numArg("--campaign-shard index", v.substr(0, slash), 0);
+        o.shardCount =
+            numArg("--campaign-shard count", v.substr(slash + 1), 1);
     } else if (eat("--systems=", &v)) {
         o.systems = v;
     } else if (eat("--checkpoint=", &v)) {
         const std::size_t comma = v.find(',');
-        o.checkpointEpoch =
-            std::strtoull(v.c_str(), nullptr, 0);
-        if (!o.checkpointEpoch) {
-            std::fprintf(stderr,
-                         "--checkpoint wants EPOCH[,FILE] with "
-                         "EPOCH >= 1, got '%s'\n",
-                         v.c_str());
-            std::exit(2);
-        }
+        o.checkpointEpoch = numArg<std::uint64_t>(
+            "--checkpoint epoch", v.substr(0, comma), 1);
         if (comma != std::string::npos)
             o.checkpointFile = v.substr(comma + 1);
     } else if (eat("--restore=", &v)) {
@@ -347,6 +371,14 @@ validateOptions(const Options& o)
     }
     if (o.jitterSet && !o.perturb)
         die("--jitter only modifies --perturb runs");
+    if (o.traceSample && o.traceFile.empty())
+        die("--trace-sample only modifies --trace runs");
+    if (o.blockSize & (o.blockSize - 1))
+        die("--block wants a power of two");
+    if (o.cacheKb & (o.cacheKb - 1))
+        die("--cache-kb wants a power of two");
+    if (o.cacheKb * 1024LL < o.blockSize * CoreParams{}.cacheAssoc)
+        die("--cache-kb wants room for one set of --block blocks");
     if (o.analyze && !o.benchJson.empty()) {
         die("--analyze and --bench-json are mutually exclusive (the "
             "analyzer folds every access and would skew the "
@@ -360,8 +392,6 @@ validateOptions(const Options& o)
     if (!o.campaignJson.empty() && !o.campaign)
         die("--campaign-json requires --campaign");
     if (o.campaign) {
-        if (o.campaign < 1)
-            die("--campaign wants a positive run count");
         if (o.perturb)
             die("--campaign and --perturb are mutually exclusive (a "
                 "campaign already sweeps seeds)");
@@ -391,8 +421,7 @@ validateOptions(const Options& o)
     if (o.shardCount != 1 || o.shardIndex != 0) {
         if (!o.campaign)
             die("--campaign-shard requires --campaign");
-        if (o.shardCount < 1 || o.shardIndex < 0 ||
-            o.shardIndex >= o.shardCount)
+        if (o.shardIndex >= o.shardCount)
             die("--campaign-shard=I/N wants 0 <= I < N");
     }
     const bool crashes = o.faults.find("crash@") != std::string::npos;
@@ -509,19 +538,17 @@ runTtsim(int argc, char** argv)
     cfg.check.mode = o.checkMode == "paranoid"
                          ? ProtocolChecker::Mode::Paranoid
                          : ProtocolChecker::Mode::Fast;
-    cfg.obs.enable = !o.traceFile.empty() || o.traceSample > 0;
+    cfg.obs.enable = !o.traceFile.empty();
     cfg.obs.traceFile = o.traceFile;
     cfg.obs.samplePeriod = o.traceSample;
     cfg.obs.analyze = o.analyze;
     cfg.obs.txn = o.traceCritical;
     cfg.obs.telemetry = o.telemetry;
     // A trace without an explicit sampling period still gets live
-    // counter tracks (events/sec, net traffic, open misses) at a
-    // coarse default.
+    // counter tracks (events/sec, net traffic) at a coarse default.
     if (!o.traceFile.empty() && o.traceSample == 0)
         cfg.obs.samplePeriod = 1024;
-    if (o.traceRing > 0)
-        cfg.obs.ringCapacity = static_cast<std::size_t>(o.traceRing);
+    cfg.obs.ringCapacity = static_cast<std::size_t>(o.traceRing);
 
     if (o.fault == "skip-invalidate") {
         cfg.dir.faultSkipInvalidate = true;
