@@ -103,7 +103,8 @@ class Network
     /**
      * Resident bytes of the fabric's own structures (telemetry memory
      * probe): receiver table, port occupancies, jitter clamps,
-     * dead-node set.
+     * dead-node set, and the in-flight message slots with their free
+     * list.
      */
     std::size_t
     footprintBytes() const
@@ -112,7 +113,9 @@ class Network
                _linkFree.capacity() * sizeof(Tick) +
                _ejectFree.capacity() * sizeof(Tick) +
                _lastArrive.capacity() * sizeof(Tick) +
-               _dead.capacity();
+               _dead.capacity() +
+               _slots.capacity() * sizeof(Message) +
+               _freeSlots.capacity() * sizeof(std::uint32_t);
     }
 
     /** Install the message receiver for @p node. */
@@ -171,6 +174,13 @@ class Network
     long inflight() const { return _inflight; }
 
     /**
+     * Message slots allocated so far (in use or free). Slots are
+     * recycled, so this is the peak in-flight count, not the total
+     * sent.
+     */
+    std::size_t slotCount() const { return _slots.size(); }
+
+    /**
      * Messages swallowed by the dead-node gate ("declared-lost" in
      * PROTOCOLS.md's conservation terms). A plain member, not a
      * StatSet counter: registering one would add a stats-json line to
@@ -193,8 +203,12 @@ class Network
         std::fill(_ejectFree.begin(), _ejectFree.end(), now);
         std::fill(_lastArrive.begin(), _lastArrive.end(), 0);
         // A crash rollback clears the event queue wholesale, killing
-        // scheduled deliver closures before they can decrement.
+        // scheduled deliver closures before they can decrement or
+        // free their slots.
         _inflight = 0;
+        _freeSlots.clear();
+        for (std::size_t i = _slots.size(); i-- > 0;)
+            _freeSlots.push_back(static_cast<std::uint32_t>(i));
     }
 
     /**
@@ -235,7 +249,7 @@ class Network
 
   private:
     void
-    sendPhysical(Message msg, Tick when, bool fromTransport)
+    sendPhysical(Message&& msg, Tick when, bool fromTransport)
     {
         // Every sender is a node-resident NP or directory controller,
         // so src must name a real node: injection occupancy is charged
@@ -332,23 +346,44 @@ class Network
                           flags);
         }
 
-        if (dupArrive) {
-            Message copy = msg;
-            ++_inflight;
-            _eq.schedule(dupArrive,
-                         [this, m = std::move(copy)]() mutable {
-                             deliver(std::move(m));
-                         });
-        }
+        if (dupArrive)
+            scheduleDelivery(dupArrive, Message(msg));
         if (dropped)
             return;
+        scheduleDelivery(arrive, std::move(msg));
+    }
 
-        // The closure owns the message.
+    /**
+     * Park @p m in a message slot and schedule its delivery at
+     * @p arrive. The event captures only the slot index, so it fits
+     * SmallFunction's inline buffer whatever Message carries. A free
+     * list rather than a per-channel FIFO: the fault model's dup and
+     * reorder break channel order.
+     */
+    void
+    scheduleDelivery(Tick arrive, Message&& m)
+    {
+        std::uint32_t slot;
+        if (_freeSlots.empty()) {
+            slot = static_cast<std::uint32_t>(_slots.size());
+            _slots.push_back(std::move(m));
+        } else {
+            slot = _freeSlots.back();
+            _freeSlots.pop_back();
+            _slots[slot] = std::move(m);
+        }
         ++_inflight;
-        _eq.schedule(arrive,
-                     [this, m = std::move(msg)]() mutable {
-                         deliver(std::move(m));
-                     });
+        _eq.schedule(arrive, [this, slot] { deliverSlot(slot); });
+    }
+
+    void
+    deliverSlot(std::uint32_t slot)
+    {
+        // Move out and free the slot before delivering: the receiver's
+        // own sends may reuse it or reallocate _slots.
+        Message m = std::move(_slots[slot]);
+        _freeSlots.push_back(slot);
+        deliver(std::move(m));
     }
 
     void
@@ -393,6 +428,8 @@ class Network
     std::vector<std::uint8_t> _dead; ///< crash-stopped nodes, opt-in
     bool _recoveryArmed = false;     ///< armRecovery() called
     long _inflight = 0;              ///< scheduled deliveries
+    std::vector<Message> _slots;     ///< in-flight messages by slot
+    std::vector<std::uint32_t> _freeSlots; ///< reusable slot indices
     std::uint64_t _crashDrops = 0;   ///< dead-node gate drops
 
     // Stat handles resolved once at construction (Counter& from a

@@ -306,6 +306,12 @@ class EventQueue
     HostTimer* _telem = nullptr;
 };
 
+// Every bucket entry is one Callback, so its size is the per-event
+// memory traffic. SmallFunction has no heap path; this pins the entry
+// to one cache line so a larger inline buffer cannot creep in either.
+static_assert(sizeof(EventQueue::Callback) <= 64,
+              "event closures must stay within one cache line");
+
 } // namespace tt
 
 #endif // TT_SIM_EVENT_QUEUE_HH

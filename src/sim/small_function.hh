@@ -1,14 +1,15 @@
 /**
  * @file
- * A move-only, small-buffer-optimized `void()` callable for event
- * closures. The simulator schedules millions of short-lived lambdas
- * whose captures (a `this` pointer, a tick or two, often a Message by
- * value) fit comfortably inline; std::function's small-buffer window
- * (16 bytes on libstdc++) forces a heap allocation per event. This
- * type keeps kInlineSize bytes of in-object storage so the hot
- * capture sizes in network.hh, typhoon_mem_system.cc, and stache.cc
- * never touch the allocator; larger captures transparently spill to
- * the heap.
+ * A move-only, small-buffer `void()` callable for event closures. The
+ * simulator schedules millions of short-lived lambdas whose captures
+ * (a `this` pointer, a tick or two, a network slot index) are a few
+ * words; std::function's small-buffer window (16 bytes on libstdc++)
+ * would force a heap allocation per event. This type keeps
+ * kInlineSize bytes of in-object storage and has no heap path at all:
+ * a capture that does not fit is a compile error, so an event never
+ * touches the allocator. Closures that would carry bulk state (a
+ * Message, say) park it in storage their owner keeps and capture an
+ * index (see Network's message slots).
  */
 
 #ifndef TT_SIM_SMALL_FUNCTION_HH
@@ -23,20 +24,23 @@ namespace tt
 {
 
 /**
- * Type-erased move-only `void()` callable with a large inline buffer.
+ * Type-erased move-only `void()` callable stored entirely inline.
  *
  * Dispatch goes through a static per-type vtable (invoke / relocate /
  * destroy) rather than a virtual base, so an engaged SmallFunction is
- * exactly the buffer plus one pointer and relocation of inline
- * targets is a move-construct + destroy pair (noexcept-move targets
- * only; throwing-move types go to the heap where relocation is a
- * pointer copy).
+ * exactly the buffer plus one pointer (64 bytes) and relocation is a
+ * move-construct + destroy pair. Targets must fit kInlineSize, be no
+ * more aligned than std::max_align_t and be nothrow-movable.
  */
 class SmallFunction
 {
   public:
-    /** In-object storage; sized for a captured Message plus change. */
-    static constexpr std::size_t kInlineSize = 120;
+    /**
+     * In-object storage. The largest hot captures in src/ (DirNNB
+     * deferred replay, Typhoon BAF post, the barrier batch) are about
+     * 40 bytes.
+     */
+    static constexpr std::size_t kInlineSize = 48;
 
     SmallFunction() = default;
 
@@ -115,40 +119,16 @@ class SmallFunction
         static constexpr VTable vt{invoke, relocate, destroy};
     };
 
-    template <typename D>
-    struct HeapOps
-    {
-        static D*&
-        slot(void* storage)
-        {
-            return *std::launder(reinterpret_cast<D**>(storage));
-        }
-
-        static void invoke(void* storage) { (*slot(storage))(); }
-
-        static void
-        relocate(void* dst, void* src) noexcept
-        {
-            ::new (dst) (D*)(slot(src));
-        }
-
-        static void destroy(void* storage) noexcept { delete slot(storage); }
-
-        static constexpr VTable vt{invoke, relocate, destroy};
-    };
-
     template <typename D, typename F>
     void
     construct(F&& f)
     {
-        if constexpr (fitsInline<D>) {
-            ::new (static_cast<void*>(_buf)) D(std::forward<F>(f));
-            _vt = &InlineOps<D>::vt;
-        } else {
-            ::new (static_cast<void*>(_buf)) (D*)(
-                new D(std::forward<F>(f)));
-            _vt = &HeapOps<D>::vt;
-        }
+        static_assert(fitsInline<D>,
+                      "closure must fit SmallFunction inline (size, "
+                      "alignment, nothrow move); capture an index into "
+                      "owner-kept storage instead");
+        ::new (static_cast<void*>(_buf)) D(std::forward<F>(f));
+        _vt = &InlineOps<D>::vt;
     }
 
     void

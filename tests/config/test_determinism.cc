@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -28,6 +29,7 @@ struct RunRecord
     double checksum = 0;
     std::string stats;
     std::uint64_t deadLinks = 0;
+    std::uint64_t dups = 0;
 
     bool
     operator==(const RunRecord& o) const
@@ -48,10 +50,18 @@ runOnce(const std::string& system, const std::string& app,
         target = buildDirNNB(cfg);
     else if (system == "stache")
         target = buildTyphoonStache(cfg);
-    else
+    else if (system == "migratory")
         target = buildTyphoonMigratory(cfg);
+    else
+        target = buildTyphoonEm3dUpdate(cfg);
 
-    auto a = makeWorkload(app, DataSet::Tiny, 1);
+    // The update protocol runs em3d in its producer-push mode.
+    std::unique_ptr<BenchApp> a;
+    if (system == "update")
+        a = std::make_unique<Em3dApp>(em3dParams(DataSet::Tiny, 0.2, 1),
+                                      Em3dApp::Mode::Update, target.em3d);
+    else
+        a = makeWorkload(app, DataSet::Tiny, 1);
     const RunResult r = target.run(*a);
 
     RunRecord rec;
@@ -63,6 +73,8 @@ runOnce(const std::string& system, const std::string& app,
     rec.stats = os.str();
     if (target.m().stats().hasCounter("net.dead_links"))
         rec.deadLinks = target.m().stats().get("net.dead_links");
+    if (target.m().stats().hasCounter("net.faults.dups"))
+        rec.dups = target.m().stats().get("net.faults.dups");
     return rec;
 }
 
@@ -104,6 +116,34 @@ TEST(Determinism, CalendarQueueMatchesReferenceHeap)
         }
     }
 }
+
+class FaultedQueueModes : public ::testing::TestWithParam<const char*>
+{
+};
+
+TEST_P(FaultedQueueModes, CalendarQueueMatchesReferenceHeap)
+{
+    // Duplicated and reordered copies each take their own network
+    // message slot and deliver event; both queue structures must run
+    // them in the same order.
+    MachineConfig cfg;
+    cfg.faults = parseFaultSpec("dup=0.05,reorder=0.05,seed=7");
+    const RunRecord cal = runOnce(GetParam(), "em3d", cfg);
+    RunRecord ref;
+    {
+        ReferenceHeapScope scope;
+        ref = runOnce(GetParam(), "em3d", cfg);
+    }
+    EXPECT_GT(cal.dups, 0u);
+    EXPECT_EQ(cal, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, FaultedQueueModes,
+                         ::testing::Values("dirnnb", "stache", "migratory",
+                                           "update"),
+                         [](const auto& info) {
+                             return std::string(info.param);
+                         });
 
 TEST(Determinism, BenchHarnessReportsSimulatedResultsFaithfully)
 {

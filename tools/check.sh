@@ -2,7 +2,8 @@
 # Tier-2 verification gate (see README "Verification tiers").
 #
 # Runs, in order:
-#   1. Debug + ASan/UBSan build of the whole tree, full ctest.
+#   1. Debug + ASan/UBSan build of the whole tree, full ctest, then
+#      the network message-slot tests again, repeated and shuffled.
 #   2. Release (RelWithDebInfo) build, full ctest.
 #   3. clang-tidy over src/ (skipped with a notice when no clang-tidy
 #      binary is installed — the container ships only g++).
@@ -97,6 +98,13 @@ if [ "$SKIP_ASAN" = 0 ]; then
     cmake --build --preset asan -j "$JOBS"
     step "ctest (asan)"
     ctest --preset asan -j "$JOBS"
+    step "network message slots (asan)"
+    # deliverSlot moves a message out of its slot and frees the slot
+    # before the receiver runs; a stale-slot read or use-after-move
+    # shows here under drop/dup/reorder, re-entrant sends that
+    # reallocate the slot vector, and a crash-recovery reset.
+    build-asan/tests/test_net --gtest_filter='NetworkSlots.*' \
+        --gtest_repeat=20 --gtest_shuffle >/dev/null
 else
     step "ASan build skipped (--skip-asan)"
 fi
