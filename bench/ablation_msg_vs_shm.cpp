@@ -102,7 +102,7 @@ runBulk(int nodes, std::uint32_t kb)
 int
 main()
 {
-    const int nodes = envInt("TT_NODES", 16);
+    const int nodes = envNodes("ablation_msg_vs_shm", 16);
     std::printf("Neighbor exchange: shared-memory pull vs Tempest "
                 "bulk transfer (%d nodes)\n\n",
                 nodes);

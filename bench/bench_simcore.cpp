@@ -35,8 +35,8 @@ constexpr const char* kFaultMix =
 int
 main()
 {
-    const int scale = envInt("TT_SCALE", 4);
-    const int nodes = envInt("TT_NODES", 32);
+    const int scale = envScale("bench_simcore", 4);
+    const int nodes = envNodes("bench_simcore", 32);
     const auto apps = envList(
         "TT_APPS", {"appbt", "barnes", "mp3d", "ocean", "em3d"});
     const char* jsonPath = std::getenv("TT_BENCH_JSON");

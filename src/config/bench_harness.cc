@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "sim/json.hh"
-#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace tt
@@ -215,30 +214,9 @@ runBenchCase(const std::string& system, const std::string& appName,
              DataSet ds, int scale, const MachineConfig& cfg,
              BenchTelemetry* telem)
 {
-    TargetMachine target;
-    std::unique_ptr<BenchApp> app;
-
-    if (system == "dirnnb") {
-        target = buildDirNNB(cfg);
-    } else if (system == "stache") {
-        target = buildTyphoonStache(cfg);
-    } else if (system == "migratory") {
-        target = buildTyphoonMigratory(cfg);
-    } else if (system == "update") {
-        tt_assert(appName == "em3d",
-                  "system 'update' supports only em3d");
-        target = buildTyphoonEm3dUpdate(cfg);
-    } else {
-        tt_fatal("unknown bench system: ", system);
-    }
-
-    if (system == "update") {
-        app = std::make_unique<Em3dApp>(em3dParams(ds, 0.2, scale),
-                                        Em3dApp::Mode::Update,
-                                        target.em3d);
-    } else {
-        app = makeWorkload(appName, ds, scale);
-    }
+    TargetMachine target = buildSystem(system, cfg);
+    const std::unique_ptr<BenchApp> app =
+        makeSystemApp(system, target, appName, ds, scale);
 
     if (target.telemetry)
         target.telemetry->runBegin();

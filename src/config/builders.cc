@@ -347,6 +347,36 @@ buildTyphoonMigratory(const MachineConfig& cfg)
     return t;
 }
 
+TargetMachine
+buildSystem(const std::string& system, const MachineConfig& cfg)
+{
+    if (system == "dirnnb")
+        return buildDirNNB(cfg);
+    if (system == "stache")
+        return buildTyphoonStache(cfg);
+    if (system == "migratory")
+        return buildTyphoonMigratory(cfg);
+    if (system == "update")
+        return buildTyphoonEm3dUpdate(cfg);
+    tt_fatal("unknown system: ", system);
+}
+
+std::unique_ptr<BenchApp>
+makeSystemApp(const std::string& system, TargetMachine& target,
+              const std::string& app, DataSet ds, int scale,
+              double remoteFrac)
+{
+    if (system == "update" && app != "em3d")
+        tt_fatal("system 'update' runs only em3d, not ", app);
+    if (app != "em3d")
+        return makeWorkload(app, ds, scale);
+    const Em3dApp::Params p = em3dParams(ds, remoteFrac, scale);
+    if (system == "update")
+        return std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
+                                         target.em3d);
+    return std::make_unique<Em3dApp>(p);
+}
+
 void
 printTable2(std::ostream& os, const MachineConfig& cfg)
 {

@@ -11,7 +11,9 @@
 
 #include <memory>
 #include <ostream>
+#include <string>
 
+#include "apps/workloads.hh"
 #include "check/protocol_checker.hh"
 #include "core/machine.hh"
 #include "core/transport.hh"
@@ -174,6 +176,26 @@ TargetMachine buildTyphoonEm3dUpdate(const MachineConfig& cfg = {});
 
 /** Typhoon running the migratory-sharing custom protocol. */
 TargetMachine buildTyphoonMigratory(const MachineConfig& cfg = {});
+
+/**
+ * Build the target named @p system: dirnnb, stache, migratory or
+ * update (the names ttsim, campaigns and the sweep use). An unknown
+ * name is a tt_fatal.
+ */
+TargetMachine buildSystem(const std::string& system,
+                          const MachineConfig& cfg = {});
+
+/**
+ * Make @p app with data set @p ds for @p target, built by
+ * buildSystem(@p system). EM3D gets @p remoteFrac non-local edges;
+ * the update system runs it in producer-push mode and runs nothing
+ * else (any other app is a tt_fatal).
+ */
+std::unique_ptr<BenchApp> makeSystemApp(const std::string& system,
+                                        TargetMachine& target,
+                                        const std::string& app,
+                                        DataSet ds, int scale = 1,
+                                        double remoteFrac = 0.2);
 
 } // namespace tt
 

@@ -27,20 +27,6 @@ campaignSeed(std::uint64_t base, int i)
 namespace
 {
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    if (system == "update")
-        return buildTyphoonEm3dUpdate(cfg);
-    tt_fatal("campaign: unknown system '", system, "'");
-}
-
 CampaignRun
 runOne(const CampaignConfig& cc, const std::string& system,
        std::uint64_t seed, int index)
@@ -57,14 +43,8 @@ runOne(const CampaignConfig& cc, const std::string& system,
     run.index = index;
 
     TargetMachine target = buildSystem(system, cfg);
-    std::unique_ptr<BenchApp> app;
-    if (system == "update") {
-        app = std::make_unique<Em3dApp>(
-            em3dParams(cc.dataset, cc.remoteFrac, cc.scale),
-            Em3dApp::Mode::Update, target.em3d);
-    } else {
-        app = makeWorkload(cc.app, cc.dataset, cc.scale);
-    }
+    const std::unique_ptr<BenchApp> app = makeSystemApp(
+        system, target, cc.app, cc.dataset, cc.scale, cc.remoteFrac);
 
     try {
         const RunResult r = target.run(*app);

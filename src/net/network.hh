@@ -36,7 +36,7 @@ struct NetworkParams
      * Optional inbound (ejection-port) serialization per packet. The
      * paper's methodology does not model contention; 0 (default)
      * reproduces that. Nonzero values model a finite ejection
-     * bandwidth at each node — see bench/ablation_contention.
+     * bandwidth at each node — see `bench/sweep contention`.
      */
     Tick ejectPerPacket = 0;
     /**

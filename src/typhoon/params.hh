@@ -61,7 +61,7 @@ struct TyphoonParams
      * shared access pays this many extra CPU cycles for an inline
      * software check inserted by executable rewriting. 0 (default)
      * models Typhoon's hardware RTLB, which checks for free by
-     * snooping the bus. See bench/ablation_sw_tempest.
+     * snooping the bus. See `bench/sweep sw_tempest`.
      */
     Tick swCheckCost = 0;
 };

@@ -82,6 +82,21 @@ TEST(Campaign, ReliableTransportKeepsLossyCampaignClean)
     EXPECT_GT(retx, 0u);
 }
 
+TEST(Campaign, EverySystemRunsTheRequestedRemoteFraction)
+{
+    // All systems of one campaign run the same EM3D graph: at a
+    // non-default remote fraction the plain-EM3D systems must compute
+    // what the update protocol computes.
+    CampaignConfig cc = smallCampaign();
+    cc.systems = {"stache", "update"};
+    cc.runs = 1;
+    cc.remoteFrac = 0.4;
+    const CampaignReport rep = runCampaign(cc);
+    ASSERT_EQ(rep.runs.size(), 2u);
+    ASSERT_TRUE(rep.allOk()) << serialize(rep);
+    EXPECT_EQ(rep.runs[0].checksum, rep.runs[1].checksum);
+}
+
 TEST(Campaign, SameSeedCampaignIsByteIdentical)
 {
     const CampaignConfig cc = smallCampaign();

@@ -44,24 +44,9 @@ runOnce(const std::string& system, const std::string& app,
         MachineConfig cfg = {})
 {
     cfg.core.nodes = 8;
-
-    TargetMachine target;
-    if (system == "dirnnb")
-        target = buildDirNNB(cfg);
-    else if (system == "stache")
-        target = buildTyphoonStache(cfg);
-    else if (system == "migratory")
-        target = buildTyphoonMigratory(cfg);
-    else
-        target = buildTyphoonEm3dUpdate(cfg);
-
-    // The update protocol runs em3d in its producer-push mode.
-    std::unique_ptr<BenchApp> a;
-    if (system == "update")
-        a = std::make_unique<Em3dApp>(em3dParams(DataSet::Tiny, 0.2, 1),
-                                      Em3dApp::Mode::Update, target.em3d);
-    else
-        a = makeWorkload(app, DataSet::Tiny, 1);
+    TargetMachine target = buildSystem(system, cfg);
+    const std::unique_ptr<BenchApp> a =
+        makeSystemApp(system, target, app, DataSet::Tiny);
     const RunResult r = target.run(*a);
 
     RunRecord rec;

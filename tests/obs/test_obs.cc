@@ -51,28 +51,11 @@ smallConfig()
     return cfg;
 }
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    return buildTyphoonEm3dUpdate(cfg);
-}
-
 RunResult
 runEm3d(TargetMachine& t, const std::string& system)
 {
-    if (system == "update") {
-        Em3dApp app(em3dParams(DataSet::Tiny, 0.2, 8),
-                    Em3dApp::Mode::Update, t.em3d);
-        return t.run(app);
-    }
-    Em3dApp app(em3dParams(DataSet::Tiny, 0.2, 8));
-    return t.run(app);
+    const auto app = makeSystemApp(system, t, "em3d", DataSet::Tiny);
+    return t.run(*app);
 }
 
 // --- ring / recorder units --------------------------------------------

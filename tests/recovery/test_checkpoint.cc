@@ -29,28 +29,6 @@ constexpr const char* kSystems[] = {"dirnnb", "stache", "migratory",
                                     "update"};
 constexpr std::uint64_t kFp = 0x7357F00D;
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    return buildTyphoonEm3dUpdate(cfg);
-}
-
-std::unique_ptr<Em3dApp>
-mkApp(const std::string& system, TargetMachine& t)
-{
-    const Em3dApp::Params p = em3dParams(DataSet::Tiny, 0.2, 1);
-    if (system == "update")
-        return std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
-                                         t.em3d);
-    return std::make_unique<Em3dApp>(p);
-}
-
 MemorySystem*
 memsysOf(TargetMachine& t)
 {
@@ -66,7 +44,7 @@ struct RunRec
 };
 
 RunRec
-record(TargetMachine& t, const Em3dApp& app, const RunResult& r)
+record(TargetMachine& t, const BenchApp& app, const RunResult& r)
 {
     RunRec rec;
     rec.cycles = r.execTime;
@@ -89,7 +67,7 @@ runCheckpointing(const std::string& system, const std::string& file,
     cfg.recovery.checkpointFile = file;
     cfg.recovery.fingerprint = kFp;
     TargetMachine t = buildSystem(system, cfg);
-    auto app = mkApp(system, t);
+    auto app = makeSystemApp(system, t, "em3d", DataSet::Tiny);
     const RunResult r = t.run(*app);
     EXPECT_NE(t.checkpoint, nullptr) << system;
     EXPECT_TRUE(t.checkpoint->written()) << system;
@@ -105,7 +83,7 @@ runRestored(const std::string& system, const std::string& file,
     cfg.core.nodes = 8;
     cfg.check.enable = check;
     TargetMachine t = buildSystem(system, cfg);
-    auto app = mkApp(system, t);
+    auto app = makeSystemApp(system, t, "em3d", DataSet::Tiny);
     const Snapshot snap = loadSnapshot(file);
     EXPECT_EQ(snap.fingerprint, kFp) << system;
     const Machine::RestartPlan plan = restorePlan(

@@ -26,28 +26,6 @@ namespace
 constexpr const char* kSystems[] = {"dirnnb", "stache", "migratory",
                                     "update"};
 
-TargetMachine
-buildSystem(const std::string& system, const MachineConfig& cfg)
-{
-    if (system == "dirnnb")
-        return buildDirNNB(cfg);
-    if (system == "stache")
-        return buildTyphoonStache(cfg);
-    if (system == "migratory")
-        return buildTyphoonMigratory(cfg);
-    return buildTyphoonEm3dUpdate(cfg);
-}
-
-std::unique_ptr<Em3dApp>
-mkApp(const std::string& system, TargetMachine& t)
-{
-    const Em3dApp::Params p = em3dParams(DataSet::Tiny, 0.2, 1);
-    if (system == "update")
-        return std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
-                                         t.em3d);
-    return std::make_unique<Em3dApp>(p);
-}
-
 struct Baseline
 {
     Tick cycles = 0;
@@ -62,7 +40,7 @@ baselineOf(const std::string& system)
     cfg.core.nodes = 8;
     cfg.check.enable = true;
     TargetMachine t = buildSystem(system, cfg);
-    auto app = mkApp(system, t);
+    auto app = makeSystemApp(system, t, "em3d", DataSet::Tiny);
     const RunResult r = t.run(*app);
     return {r.execTime, app->checksum()};
 }
@@ -87,7 +65,7 @@ TEST(Recovery, CrashMidRunRecoversOnAllSystems)
         TargetMachine t =
             buildSystem(system, crashConfig(base.cycles / 2, 2));
         ASSERT_NE(t.recovery, nullptr) << system;
-        auto app = mkApp(system, t);
+        auto app = makeSystemApp(system, t, "em3d", DataSet::Tiny);
         const RunResult r = t.run(*app);
 
         EXPECT_EQ(t.recovery->crashesInjected(), 1u) << system;
@@ -114,7 +92,7 @@ TEST(Recovery, SecondCrashDuringOutageIsUnrecoverable)
     cfg.faults.crashes.emplace_back(mid + 1000, 3);
 
     TargetMachine t = buildSystem("stache", cfg);
-    auto app = mkApp("stache", t);
+    auto app = makeSystemApp("stache", t, "em3d", DataSet::Tiny);
     // The throw unwinds out of run() abandoning suspended coroutine
     // frames by design.
     test::ExpectLeaksInScope leaks;
@@ -130,7 +108,7 @@ TEST(Recovery, CrashAfterAppFinishIsIgnored)
     // still fires in the final queue drain and must be a no-op.
     TargetMachine t =
         buildSystem("dirnnb", crashConfig(base.cycles * 4, 2));
-    auto app = mkApp("dirnnb", t);
+    auto app = makeSystemApp("dirnnb", t, "em3d", DataSet::Tiny);
     // (No exec-time comparison: the crash-configured build carries
     // the reliable transport, whose charged acks shift timing even
     // when the crash itself is a no-op.)
@@ -151,7 +129,7 @@ TEST(Recovery, CrashRecoveryComposesWithMessageFaults)
     cfg.faults.dup = 0.002;
 
     TargetMachine t = buildSystem("stache", cfg);
-    auto app = mkApp("stache", t);
+    auto app = makeSystemApp("stache", t, "em3d", DataSet::Tiny);
     t.run(*app);
     EXPECT_EQ(t.recovery->crashesInjected(), 1u);
     EXPECT_EQ(t.recovery->recoveriesDone(), 1u);

@@ -50,6 +50,11 @@
 #      bench_diff perf gate: the committed BENCH_simcore.json passes
 #      against itself, a synthetically slowed copy fails, and a fresh
 #      reduced-grid measurement stays within tolerance.
+#  10. The paper's figures at full scale: `bench/sweep` regenerates
+#      fig3_full.txt and fig4_full.txt (TT_SCALE=1) and
+#      ablations_full.txt (TT_SCALE=4) as three parallel processes;
+#      each must equal the committed snapshot byte for byte, and the
+#      sweep exits nonzero if any EXPERIMENTS.md claim fails.
 #
 # Usage: tools/check.sh [--skip-asan] [--skip-tidy]
 set -euo pipefail
@@ -409,6 +414,23 @@ TT_APPS=em3d TT_FOOTPRINT_NODES=32 TT_TELEMETRY_BOUND=1.5 \
 "$BENCH_DIFF" "$TRACEDIR/bench.baseline.reduced.json" \
     "$TRACEDIR/bench.fresh.json" --tol-evsec=0.5 --tol-mem=0.25
 echo "--- perf gate: self-check, synthetic teeth, fresh reduced grid OK"
+
+# --- 10. Paper claims at full scale -----------------------------------------
+step "sweep: figures at the snapshot scales vs the committed snapshots"
+# The three figures run in parallel (fig4 alone is minutes at
+# TT_SCALE=1); a sweep that exits nonzero (checksum mismatch or a
+# failed claim) fails its wait.
+SWEEP="env -u TT_APPS -u TT_NODES build/bench/sweep"
+TT_SCALE=1 $SWEEP fig3 > "$TRACEDIR/fig3_full.txt" & fig3=$!
+TT_SCALE=1 $SWEEP fig4 > "$TRACEDIR/fig4_full.txt" & fig4=$!
+TT_SCALE=4 $SWEEP ablations > "$TRACEDIR/ablations_full.txt" & abl=$!
+wait "$fig3"
+wait "$fig4"
+wait "$abl"
+for f in fig3_full.txt fig4_full.txt ablations_full.txt; do
+    diff "$f" "$TRACEDIR/$f"
+done
+echo "--- sweep: snapshots regenerate byte for byte; every claim holds"
 
 echo
 echo "check.sh: all gates passed"

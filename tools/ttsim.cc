@@ -15,19 +15,17 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "apps/workloads.hh"
+#include "config/args.hh"
 #include "config/bench_harness.hh"
 #include "config/builders.hh"
 #include "config/campaign.hh"
@@ -184,31 +182,6 @@ usage()
         "  --list            list workloads and exit\n");
 }
 
-/**
- * The value of numeric flag @p key: the whole of @p v as a decimal
- * number in [lo, hi]. Anything else is a usage error: say what the
- * flag wants and exit 2.
- */
-template <typename T>
-T
-numArg(const char* key, const std::string& v, T lo,
-       T hi = std::numeric_limits<T>::max())
-{
-    const char* e = v.data() + v.size();
-    T x{};
-    const auto [end, ec] = std::from_chars(v.data(), e, x);
-    if (ec == std::errc{} && end == e && x >= lo && x <= hi)
-        return x;
-    std::cerr << "ttsim: " << key << " wants "
-              << (std::is_integral_v<T> ? "an integer" : "a number");
-    if (hi == std::numeric_limits<T>::max())
-        std::cerr << " >= " << lo;
-    else
-        std::cerr << " in " << lo << ".." << hi;
-    std::cerr << ", got '" << v << "'\n";
-    std::exit(2);
-}
-
 bool
 parseArg(Options& o, const std::string& arg)
 {
@@ -228,29 +201,29 @@ parseArg(Options& o, const std::string& arg)
     } else if (eat("--dataset=", &v)) {
         o.dataset = v;
     } else if (eat("--nodes=", &v)) {
-        o.nodes = numArg("--nodes", v, 1, 4096);
+        o.nodes = numArg("ttsim", "--nodes", v, 1, 4096);
     } else if (eat("--cache-kb=", &v)) {
-        o.cacheKb = numArg("--cache-kb", v, 1, 1 << 20);
+        o.cacheKb = numArg("ttsim", "--cache-kb", v, 1, 1 << 20);
     } else if (eat("--block=", &v)) {
-        o.blockSize = numArg("--block", v, 8, 4096); // <= a page
+        o.blockSize = numArg("ttsim", "--block", v, 8, 4096); // <= a page
     } else if (eat("--scale=", &v)) {
-        o.scale = numArg("--scale", v, 1);
+        o.scale = numArg("ttsim", "--scale", v, 1);
     } else if (eat("--net-latency=", &v)) {
-        o.netLatency = numArg("--net-latency", v, 0);
+        o.netLatency = numArg("ttsim", "--net-latency", v, 0);
     } else if (eat("--quantum=", &v)) {
-        o.quantum = numArg("--quantum", v, 0);
+        o.quantum = numArg("ttsim", "--quantum", v, 0);
     } else if (eat("--remote=", &v)) {
-        o.remotePct = numArg("--remote", v, 0.0, 100.0);
+        o.remotePct = numArg("ttsim", "--remote", v, 0.0, 100.0);
     } else if (eat("--seed=", &v)) {
-        o.seed = numArg<std::uint64_t>("--seed", v, 0);
+        o.seed = numArg<std::uint64_t>("ttsim", "--seed", v, 0);
     } else if (eat("--bench-json=", &v)) {
         o.benchJson = v;
     } else if (eat("--trace=", &v)) {
         o.traceFile = v;
     } else if (eat("--trace-sample=", &v)) {
-        o.traceSample = numArg<Tick>("--trace-sample", v, 1);
+        o.traceSample = numArg<Tick>("ttsim", "--trace-sample", v, 1);
     } else if (eat("--trace-ring=", &v)) {
-        o.traceRing = numArg("--trace-ring", v, 1);
+        o.traceRing = numArg("ttsim", "--trace-ring", v, 1);
     } else if (eat("--stats-json=", &v)) {
         o.statsJson = v;
     } else if (eat("--analyze=", &v)) {
@@ -273,20 +246,20 @@ parseArg(Options& o, const std::string& arg)
     } else if (eat("--perturb=", &v)) {
         o.perturb = true;
         o.check = true;
-        o.perturbSeed = numArg<std::uint64_t>("--perturb", v, 0);
+        o.perturbSeed = numArg<std::uint64_t>("ttsim", "--perturb", v, 0);
     } else if (eat("--jitter=", &v)) {
-        o.jitter = numArg("--jitter", v, 0);
+        o.jitter = numArg("ttsim", "--jitter", v, 0);
         o.jitterSet = true;
     } else if (eat("--faults=", &v)) {
         o.faults = v;
     } else if (eat("--horizon=", &v)) {
-        o.horizon = numArg<Tick>("--horizon", v, 1);
+        o.horizon = numArg<Tick>("ttsim", "--horizon", v, 1);
     } else if (eat("--rto=", &v)) {
-        o.rto = numArg<Tick>("--rto", v, 1);
+        o.rto = numArg<Tick>("ttsim", "--rto", v, 1);
     } else if (eat("--retries=", &v)) {
-        o.retries = numArg("--retries", v, 1);
+        o.retries = numArg("ttsim", "--retries", v, 1);
     } else if (eat("--campaign=", &v)) {
-        o.campaign = numArg("--campaign", v, 1);
+        o.campaign = numArg("ttsim", "--campaign", v, 1);
     } else if (eat("--campaign-json=", &v)) {
         o.campaignJson = v;
     } else if (eat("--campaign-shard=", &v)) {
@@ -298,15 +271,15 @@ parseArg(Options& o, const std::string& arg)
             std::exit(2);
         }
         o.shardIndex =
-            numArg("--campaign-shard index", v.substr(0, slash), 0);
+            numArg("ttsim", "--campaign-shard index", v.substr(0, slash), 0);
         o.shardCount =
-            numArg("--campaign-shard count", v.substr(slash + 1), 1);
+            numArg("ttsim", "--campaign-shard count", v.substr(slash + 1), 1);
     } else if (eat("--systems=", &v)) {
         o.systems = v;
     } else if (eat("--checkpoint=", &v)) {
         const std::size_t comma = v.find(',');
         o.checkpointEpoch = numArg<std::uint64_t>(
-            "--checkpoint epoch", v.substr(0, comma), 1);
+            "ttsim", "--checkpoint epoch", v.substr(0, comma), 1);
         if (comma != std::string::npos)
             o.checkpointFile = v.substr(comma + 1);
     } else if (eat("--restore=", &v)) {
@@ -621,16 +594,7 @@ runTtsim(int argc, char** argv)
             if (o.app == "em3d")
                 cc.systems.push_back("update");
         } else {
-            std::size_t pos = 0;
-            while (pos <= o.systems.size()) {
-                std::size_t end = o.systems.find(',', pos);
-                if (end == std::string::npos)
-                    end = o.systems.size();
-                const std::string s = o.systems.substr(pos, end - pos);
-                if (!s.empty())
-                    cc.systems.push_back(s);
-                pos = end + 1;
-            }
+            cc.systems = splitList(o.systems);
             if (cc.systems.empty())
                 tt_fatal("--systems: no systems named");
         }
@@ -674,35 +638,10 @@ runTtsim(int argc, char** argv)
         return rep.allOk() ? 0 : 4;
     }
 
-    TargetMachine target;
-    std::unique_ptr<BenchApp> app;
-    const DataSet ds = parseDataSet(o.dataset);
-
-    if (o.system == "dirnnb") {
-        target = buildDirNNB(cfg);
-    } else if (o.system == "stache") {
-        target = buildTyphoonStache(cfg);
-    } else if (o.system == "migratory") {
-        target = buildTyphoonMigratory(cfg);
-    } else if (o.system == "update") {
-        if (o.app != "em3d")
-            tt_fatal("--system=update supports only --app=em3d");
-        target = buildTyphoonEm3dUpdate(cfg);
-    } else {
-        tt_fatal("unknown system: ", o.system);
-    }
-
-    if (o.system == "update") {
-        Em3dApp::Params p =
-            em3dParams(ds, o.remotePct / 100.0, o.scale);
-        app = std::make_unique<Em3dApp>(p, Em3dApp::Mode::Update,
-                                        target.em3d);
-    } else if (o.app == "em3d") {
-        app = std::make_unique<Em3dApp>(
-            em3dParams(ds, o.remotePct / 100.0, o.scale));
-    } else {
-        app = makeWorkload(o.app, ds, o.scale);
-    }
+    TargetMachine target = buildSystem(o.system, cfg);
+    const std::unique_ptr<BenchApp> app =
+        makeSystemApp(o.system, target, o.app, parseDataSet(o.dataset),
+                      o.scale, o.remotePct / 100.0);
 
     std::printf("ttsim: %s on %s, %d nodes, %d KB cache, %dB blocks, "
                 "dataset=%s scale=1/%d\n",
